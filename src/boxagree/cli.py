@@ -15,13 +15,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import fixtures, formats, verify
 from .boxicity import boxicity_report, decide_boxicity_leq
-from .geometry import (
-    Arrangement,
-    agreement_number,
-    agreement_proportion,
-    f_vector,
-    intersection_graph,
-)
+from .geometry import Arrangement, f_vector, intersection_graph
 from .graphs import Graph, clique_number, degree_profile, is_agreeable
 from .search import confirm_eta, default_eta_table, enumerate_agreeable, eta_upper
 
@@ -79,11 +73,8 @@ def cmd_analyze(args) -> int:
         "degrees": list(profile.degrees),
     }
     if isinstance(obj, Arrangement):
-        depth = agreement_number(obj)
         report["dimension"] = obj.dimension
         report["f_vector"] = list(f_vector(obj).entries)
-        if depth != omega:  # pragma: no cover - the box Helly property
-            raise RuntimeError("agreement number disagrees with clique number")
     if args.boxicity:
         rep = boxicity_report(g, args.boxicity_budget)
         report["boxicity"] = {

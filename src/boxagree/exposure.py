@@ -115,7 +115,7 @@ def _f_partial(dimension: int, pieces: dict[int, Box | None]) -> FVector:
 
 def verify_split_identity(arr: Arrangement, k: int) -> bool:
     """Evaluate f_k(B) == f_k(B') + f_{k-1}(B'') with the split taken at the
-    exposed box; both sides are computed independently by brute force."""
+    exposed box; each side counts cliques in its own intersection graph."""
     if not 1 <= k <= arr.n - 1:
         raise ValueError(f"need 1 <= k <= n-1 = {arr.n - 1}, got {k}")
     cert = find_exposed(arr)

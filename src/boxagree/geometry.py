@@ -5,6 +5,11 @@ intersection is a bit-exact question, never a floating-point judgement.
 Boundary contact counts as intersection, and degenerate (zero-width) sides
 are legal: a single point is a valid box.
 
+Depth and the f-vector are read off the intersection graph alone.
+Axis-parallel boxes have Helly number 2 (Danzer-Gruenbaum-Klee 1963): boxes
+that meet pairwise share a point.  So the depth of an arrangement is the
+clique number of its intersection graph, and f_k counts its (k+1)-cliques.
+
 Everything in this module is an immutable value and every operation is a pure
 function, so concurrent use needs no coordination.
 """
@@ -13,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .graphs import Graph
+from .graphs import Graph, clique_number, count_cliques_of_size
 
 RationalLike = Fraction | int | str
 
@@ -182,20 +186,10 @@ def intersection_graph(arr: Arrangement) -> Graph:
 
 
 def agreement_number(arr: Arrangement) -> int:
-    """Maximum number of boxes sharing a point.
-
-    Scans the grid of lower endpoints (one candidate coordinate per box per
-    axis, so at most n^d points): any deepest cell of the arrangement is
-    itself a box whose lower corner lies on that grid.  For boxes this depth
-    equals the clique number of the intersection graph.
-    """
-    axes = [sorted({b.sides[a].lo for b in arr.boxes}) for a in range(arr.dimension)]
-    best = 0
-    for point in product(*axes):
-        depth = sum(1 for b in arr.boxes if b.contains(point))
-        if depth > best:
-            best = depth
-    return best
+    """Maximum number of boxes sharing a point: by the Helly property, the
+    clique number of the intersection graph.  Raises ValueError above the
+    graph's 64-vertex cap."""
+    return clique_number(intersection_graph(arr))
 
 
 def agreement_proportion(arr: Arrangement) -> Fraction:
@@ -204,25 +198,10 @@ def agreement_proportion(arr: Arrangement) -> Fraction:
 
 
 def f_vector(arr: Arrangement) -> FVector:
-    """Exact subset-intersection counts with early cut-off on empty prefixes.
-
-    Depth-first over index subsets in increasing order; the running
-    intersection of the current prefix is carried down the stack, so a
-    subfamily is abandoned as soon as it goes empty.  Exponential in the
-    worst case; fine at desk scale (n <= 12 or so).
-    """
-    n = arr.n
-    counts = [0] * n
-
-    def extend(start: int, running: Box, size: int) -> None:
-        for j in range(start, n):
-            inter = intersect_boxes(running, arr.boxes[j])
-            if inter is None:
-                continue
-            counts[size] += 1
-            extend(j + 1, inter, size + 1)
-
-    for i in range(n):
-        counts[0] += 1
-        extend(i + 1, arr.boxes[i], 1)
-    return FVector(tuple(counts))
+    """Exact intersection counts: by the Helly property, f_k is the number of
+    (k+1)-cliques of the intersection graph, and 0 from k = omega on.  Raises
+    ValueError above the graph's 64-vertex cap."""
+    g = intersection_graph(arr)
+    omega = clique_number(g)
+    counts = [count_cliques_of_size(g, s) for s in range(1, omega + 1)]
+    return FVector(tuple(counts) + (0,) * (arr.n - omega))

@@ -8,6 +8,7 @@ function here is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -205,6 +206,16 @@ def count_cliques_of_size(g: Graph, s: int) -> int:
         nonlocal total
         if depth == s:
             total += 1
+            return
+        # a candidate set that is itself a clique needs no further branching
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            if m & ~adj[v]:
+                break
+        else:
+            total += math.comb(cand.bit_count(), s - depth)
             return
         c = cand
         while c:

@@ -3,11 +3,10 @@ bounded clique number, and the table of maximal sizes eta(r) it certifies.
 
 The enumerator grows graphs one vertex at a time, keeping one canonical
 representative per isomorphism class per level.  Every constraint it prunes
-on is hereditary for vertex deletion (agreeability, the clique cap, the
-degree cap eta(r-1), and the optimistic final-degree bound), so every valid
-n-vertex graph is reachable from some representative one level down; the
-survivors are re-validated post hoc through the public queries, independent
-of the pruned search.
+on is hereditary for vertex deletion (agreeability, the clique cap and the
+degree cap eta(r-1)), so every valid n-vertex graph is reachable from some
+representative one level down; the survivors are re-validated post hoc
+through the public queries, independent of the pruned search.
 """
 
 from __future__ import annotations
@@ -203,8 +202,7 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
     Orderly vertex-by-vertex extension: level k holds one canonical
     representative per isomorphism class of valid k-vertex prefixes, and a
     new vertex tries every attachment.  Branches die on a fresh independent
-    triple, an (r+1)-clique, a degree above eta(r-1), or a vertex whose
-    optimistic final degree cannot reach n - r - 1.
+    triple, an (r+1)-clique or a degree above eta(r-1).
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n, r >= 1, got n={n}, r={r}")
@@ -217,7 +215,6 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
         "degree_cap": 0,
         "independent_triple": 0,
         "clique_cap": 0,
-        "final_degree": 0,
         "isomorph": 0,
     }
 
@@ -245,7 +242,6 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
 
     for k in range(1, n):
         nxt: dict[bytes, tuple[int, ...]] = {}
-        threshold = k + 1 - r - 1  # optimistic final-degree floor at level k+1
         for masks in level.values():
             adj = list(masks)
             fullk = (1 << k) - 1
@@ -280,19 +276,6 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
                     continue
                 if attach and max_clique_with(adj, attach) > r:
                     pruning["clique_cap"] += 1
-                    continue
-                # optimistic final degree for every vertex
-                if attach.bit_count() < threshold:
-                    pruning["final_degree"] += 1
-                    continue
-                ok = True
-                for v in range(k):
-                    d = adj[v].bit_count() + (attach >> v & 1)
-                    if d < threshold:
-                        ok = False
-                        break
-                if not ok:
-                    pruning["final_degree"] += 1
                     continue
                 newadj = tuple(
                     adj[v] | ((attach >> v & 1) << k) for v in range(k)

@@ -54,6 +54,17 @@ def brute_force_f_vector(arr: Arrangement) -> list[int]:
     return counts
 
 
+def lower_endpoint_depth(arr: Arrangement) -> int:
+    """Max overlap count over the grid of lower endpoints (at most n^d
+    points): any deepest cell is itself a box whose lower corner lies on
+    that grid."""
+    axes = [sorted({b.sides[a].lo for b in arr.boxes}) for a in range(arr.dimension)]
+    best = 0
+    for point in product(*axes):
+        best = max(best, sum(1 for b in arr.boxes if b.contains(point)))
+    return best
+
+
 def brute_force_depth(arr: Arrangement) -> int:
     """Max overlap count over the full endpoint grid (lows and highs)."""
     axes = []

@@ -20,6 +20,7 @@ from boxagree.verify import PRINTED_TABLE, printed_value_matches
 
 from helpers import (
     geometric_triple_property,
+    lower_endpoint_depth,
     random_arrangement,
     triple_induced_edge_property,
 )
@@ -161,7 +162,7 @@ def test_property_helly_depth():
     rng = Random(20090823)
     for _ in range(1000):
         arr = random_arrangement(rng, max_n=10, max_d=4, coord_range=9)
-        assert ba.agreement_number(arr) == ba.clique_number(ba.intersection_graph(arr))
+        assert ba.agreement_number(arr) == lower_endpoint_depth(arr)
 
 
 @criterion(5, "agreeability three-forms suite (1000 random arrangements)")

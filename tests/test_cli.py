@@ -1,6 +1,7 @@
 import json
+import math
 
-from boxagree import fixtures
+from boxagree import Arrangement, fixtures
 from boxagree.cli import main
 from boxagree.formats import serialize_arrangement, serialize_graph
 
@@ -35,6 +36,15 @@ def test_analyze_arrangement_file(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(path), "--json")
     assert code == 0
     assert json.loads(out)["agreement_proportion"] == "2/5"
+
+    # 30 nested boxes: every subfamily meets, so f_k = C(30, k+1)
+    nested = Arrangement.of(2, [[(i, 60 - i), (i, 60 - i)] for i in range(30)])
+    path.write_text(serialize_arrangement(nested))
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["agreement_number"] == 30
+    assert report["f_vector"] == [math.comb(30, k + 1) for k in range(30)]
 
 
 def test_analyze_graph_file_with_boxicity(tmp_path, capsys):

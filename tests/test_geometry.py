@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -19,7 +20,12 @@ from boxagree import (
 )
 from boxagree import fixtures
 
-from helpers import brute_force_depth, brute_force_f_vector, random_arrangement
+from helpers import (
+    brute_force_depth,
+    brute_force_f_vector,
+    lower_endpoint_depth,
+    random_arrangement,
+)
 
 
 # -- intervals and boxes ----------------------------------------------------
@@ -124,6 +130,16 @@ def test_identical_boxes_agreement():
     arr = Arrangement.of(2, [[(0, 2), (0, 2)]] * 6)
     assert agreement_number(arr) == 6
     assert agreement_proportion(arr) == 1
+    arr = Arrangement.of(2, [[(0, 2), (0, 2)]] * 30)
+    assert agreement_number(arr) == 30
+    assert list(f_vector(arr).entries) == [math.comb(30, k + 1) for k in range(30)]
+
+
+def test_arrangement_invariants_cap_at_64_boxes():
+    arr = Arrangement.of(1, [[(0, 1)]] * 65)
+    for invariant in (agreement_number, f_vector):
+        with pytest.raises(ValueError, match="vertex count"):
+            invariant(arr)
 
 
 def test_fig38b_agreement_number():
@@ -174,7 +190,7 @@ def test_helly_depth_equals_clique_number_random():
     rng = Random(901)
     for _ in range(120):
         arr = random_arrangement(rng, max_n=7, max_d=3)
-        assert agreement_number(arr) == clique_number(intersection_graph(arr))
+        assert agreement_number(arr) == lower_endpoint_depth(arr)
 
 
 def test_lower_endpoint_grid_matches_full_grid():
