@@ -142,8 +142,8 @@ def degree_profile(g: Graph) -> DegreeProfile:
 # ---------------------------------------------------------------------------
 
 
-def _max_clique_size(n: int, adj: tuple[int, ...], stop_at: int | None = None) -> int:
-    """Branch and bound over candidate bitsets; early exit at stop_at if set."""
+def _max_clique_size(n: int, adj: tuple[int, ...]) -> int:
+    """Branch and bound over candidate bitsets."""
     best = 0
 
     def expand(cand: int, size: int) -> None:
@@ -152,8 +152,6 @@ def _max_clique_size(n: int, adj: tuple[int, ...], stop_at: int | None = None) -
             best = size
         while cand:
             if size + cand.bit_count() <= best:
-                return
-            if stop_at is not None and best >= stop_at:
                 return
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
@@ -234,37 +232,19 @@ def count_cliques_of_size(g: Graph, s: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _has_independent_triple(n: int, adj: tuple[int, ...]) -> bool:
-    full = (1 << n) - 1
-    for v in range(n):
-        non = full & ~adj[v] & ~(1 << v) & ~((1 << (v + 1)) - 1)  # labels above v
-        m = non
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if non & ~adj[u] & ~((1 << (u + 1)) - 1):
-                return True
-    return False
-
-
 def is_agreeable(g: Graph, k: int, m: int) -> bool:
     """True iff every m-subset of vertices contains a k-clique.
 
     Vacuously true when m exceeds the vertex count.  The (2,3) case is
-    answered through the complement (no clique of size 3 there means no
-    independent triple here) and cross-checked against the direct
-    triple scan.
+    answered through the complement: g has no independent triple exactly
+    when its complement has no triangle.
     """
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
     if m > g.n:
         return True
     if (k, m) == (2, 3):
-        by_complement = clique_number(g.complement()) <= 2
-        by_triples = not _has_independent_triple(g.n, g._adj)
-        if by_complement != by_triples:  # pragma: no cover - mutually derivable
-            raise RuntimeError("agreeability forms disagree; graph state corrupt")
-        return by_complement
+        return clique_number(g.complement()) <= 2
     for subset in combinations(range(1, g.n + 1), m):
         mask = 0
         for v in subset:

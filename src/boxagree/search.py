@@ -2,11 +2,14 @@
 bounded clique number, and the table of maximal sizes eta(r) it certifies.
 
 The enumerator grows graphs one vertex at a time, keeping one canonical
-representative per isomorphism class per level.  Every constraint it prunes
-on is hereditary for vertex deletion (agreeability, the clique cap and the
-degree cap eta(r-1)), so every valid n-vertex graph is reachable from some
-representative one level down; the survivors are re-validated post hoc
-through the public queries, independent of the pruned search.
+representative per isomorphism class per level.  A new vertex attaches to
+the complement of a clique of the current graph, since its non-neighbours
+must be pairwise adjacent; every such attachment keeps the graph
+agreeable, so only the clique cap and the degree cap eta(r-1) prune.  All
+three constraints are hereditary for vertex deletion, so every valid
+n-vertex graph is reachable from some representative one level down; the
+survivors are re-validated post hoc through the public queries,
+independent of the pruned search.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .graphs import (
     Graph,
     canonical_certificate,
     clique_number,
+    has_clique_of_size,
     is_agreeable,
     is_interval_graph,
 )
@@ -195,14 +199,29 @@ class SearchCertificate:
     pruning: dict[str, int]
 
 
+def _cliques_within(adj: tuple[int, ...], cand: int, floor: int):
+    """Every clique of at least `floor` vertices inside the bitset `cand`,
+    each once, as a bitset; grown by ascending vertex index."""
+    if floor <= 0:
+        yield 0
+    while cand and cand.bit_count() >= floor:
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        for clique in _cliques_within(adj, cand & adj[v], floor - 1):
+            yield clique | 1 << v
+
+
 def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> SearchCertificate:
     """All (2,3)-agreeable graphs on n vertices with clique number <= r, up
     to isomorphism.
 
     Orderly vertex-by-vertex extension: level k holds one canonical
-    representative per isomorphism class of valid k-vertex prefixes, and a
-    new vertex tries every attachment.  Branches die on a fresh independent
-    triple, an (r+1)-clique or a degree above eta(r-1).
+    representative per isomorphism class of valid k-vertex prefixes.  A new
+    vertex's non-neighbours must form a clique (two non-adjacent ones would
+    make an independent triple with it), so each attachment is the
+    complement of a clique of the prefix with at least k - eta(r-1)
+    vertices, which caps the new vertex's degree.  Branches die when they
+    push an old vertex's degree above eta(r-1) or close an (r+1)-clique.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n, r >= 1, got n={n}, r={r}")
@@ -211,30 +230,7 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
     degree_cap = table.best_upper(r - 1)
 
     examined = 0
-    pruning = {
-        "degree_cap": 0,
-        "independent_triple": 0,
-        "clique_cap": 0,
-        "isomorph": 0,
-    }
-
-    def max_clique_with(adj: list[int], mask: int) -> int:
-        # largest clique through the new vertex
-        best = 1
-
-        def expand(cand: int, size: int) -> None:
-            nonlocal best
-            if size > best:
-                best = size
-            while cand:
-                if size + cand.bit_count() <= best:
-                    return
-                v = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                expand(cand & adj[v], size + 1)
-
-        expand(mask, 1)
-        return best
+    pruning = {"degree_cap": 0, "clique_cap": 0, "isomorph": 0}
 
     # level 1: the single vertex (trivially valid for every n, r >= 1)
     start = (0,)
@@ -242,39 +238,19 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
 
     for k in range(1, n):
         nxt: dict[bytes, tuple[int, ...]] = {}
-        for masks in level.values():
-            adj = list(masks)
+        for adj in level.values():
+            prefix = Graph.from_masks(k, adj)
             fullk = (1 << k) - 1
-            for attach in range(1 << k):
+            saturated = sum(1 << v for v in range(k) if adj[v].bit_count() >= degree_cap)
+            # ascending attachments fix which labelled representative each class keeps
+            for attach in sorted(
+                fullk ^ clique for clique in _cliques_within(adj, fullk, k - degree_cap)
+            ):
                 examined += 1
-                degs_ok = True
-                if attach.bit_count() > degree_cap:
+                if attach & saturated:
                     pruning["degree_cap"] += 1
                     continue
-                m = attach
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if adj[v].bit_count() + 1 > degree_cap:
-                        degs_ok = False
-                        break
-                if not degs_ok:
-                    pruning["degree_cap"] += 1
-                    continue
-                # fresh independent triple: two non-neighbours of the new
-                # vertex that are themselves non-adjacent
-                non = fullk & ~attach
-                bad = False
-                m = non
-                while m and not bad:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if non & ~adj[v] & ~((1 << (v + 1)) - 1):
-                        bad = True
-                if bad:
-                    pruning["independent_triple"] += 1
-                    continue
-                if attach and max_clique_with(adj, attach) > r:
+                if has_clique_of_size(prefix, r, within=attach):
                     pruning["clique_cap"] += 1
                     continue
                 newadj = tuple(
@@ -308,11 +284,9 @@ class ProportionResult:
 
 def _box_at_most(g: Graph, d: int, budget: int) -> bool:
     """Exact box(g) <= d with the cheap certain routes tried first."""
-    if g.is_complete():
-        return True
     if roberts_upper_bound(g) <= d:
         return True
-    if d >= 1 and is_interval_graph(g):
+    if is_interval_graph(g):
         return True
     decision = decide_boxicity_leq(g, d, budget)
     if decision.status == "inconclusive":

@@ -10,7 +10,8 @@ from __future__ import annotations
 from itertools import combinations, product
 from random import Random
 
-from boxagree import Arrangement, Graph, intersect_boxes
+from boxagree import Arrangement, Graph, clique_number, intersect_boxes
+from boxagree.graphs import canonical_certificate
 
 
 def random_arrangement(rng: Random, max_n: int = 8, max_d: int = 3,
@@ -95,6 +96,23 @@ def triple_induced_edge_property(g: Graph) -> bool:
         if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
             return False
     return True
+
+
+def agreeable_classes_oracle(n: int, r: int) -> set[bytes]:
+    """Canonical certificates of every (2,3)-agreeable graph on n vertices
+    with clique number <= r, found by scanning all 2^C(n,2) labelled graphs."""
+    pairs = list(combinations(range(n), 2))
+    seen: set[bytes] = set()
+    for bits in range(1 << len(pairs)):
+        masks = [0] * n
+        for idx, (u, v) in enumerate(pairs):
+            if bits >> idx & 1:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+        g = Graph.from_masks(n, tuple(masks))
+        if clique_number(g) <= r and triple_induced_edge_property(g):
+            seen.add(canonical_certificate(n, g._adj))
+    return seen
 
 
 def subset_clique_oracle(g: Graph, s: int) -> int:

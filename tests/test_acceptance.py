@@ -8,17 +8,16 @@ import math
 import time
 from fractions import Fraction
 from functools import wraps
-from itertools import combinations
 from random import Random
 
 import pytest
 
 import boxagree as ba
 from boxagree import bounds, fixtures
-from boxagree.graphs import canonical_certificate
 from boxagree.verify import PRINTED_TABLE, printed_value_matches
 
 from helpers import (
+    agreeable_classes_oracle,
     geometric_triple_property,
     lower_endpoint_depth,
     random_arrangement,
@@ -206,21 +205,8 @@ def test_property_pruned_vs_unpruned():
     scanned = 0
     for r in (1, 2, 3, 4):
         for n in range(1, 7):
-            pairs = list(combinations(range(n), 2))
-            oracle = set()
-            for bits in range(1 << len(pairs)):
-                scanned += 1
-                masks = [0] * n
-                for idx, (u, v) in enumerate(pairs):
-                    if bits >> idx & 1:
-                        masks[u] |= 1 << v
-                        masks[v] |= 1 << u
-                g = ba.Graph.from_masks(n, tuple(masks))
-                if ba.clique_number(g) > r:
-                    continue
-                if n >= 3 and triple_induced_edge_property(g) is False:
-                    continue
-                oracle.add(canonical_certificate(n, tuple(masks)))
+            oracle = agreeable_classes_oracle(n, r)
+            scanned += 1 << math.comb(n, 2)
             mine = {
                 ba.canonical_form(g)
                 for g in ba.enumerate_agreeable(n, r).survivors

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -19,26 +18,7 @@ from boxagree import (
 from boxagree import fixtures
 from boxagree.graphs import canonical_certificate
 
-from helpers import cycle
-
-
-def unpruned_oracle(n: int, r: int) -> set[bytes]:
-    """All labelled graphs brute-forced, filtered, and canonically deduped."""
-    pairs = list(combinations(range(n), 2))
-    seen: set[bytes] = set()
-    for bits in range(1 << len(pairs)):
-        masks = [0] * n
-        for idx, (u, v) in enumerate(pairs):
-            if bits >> idx & 1:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-        g = Graph.from_masks(n, tuple(masks))
-        if clique_number(g) > r:
-            continue
-        if not is_agreeable(g, 2, 3):
-            continue
-        seen.add(canonical_certificate(n, tuple(masks)))
-    return seen
+from helpers import agreeable_classes_oracle, cycle
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -70,7 +50,14 @@ def test_enumerate_matches_unpruned_oracle():
                 canonical_certificate(g.n, g._adj)
                 for g in enumerate_agreeable(n, r).survivors
             }
-            assert mine == unpruned_oracle(n, r), (n, r)
+            assert mine == agreeable_classes_oracle(n, r), (n, r)
+
+
+@pytest.mark.parametrize(("n", "r", "count"), [(7, 3, 9), (8, 3, 3), (7, 4, 71), (8, 4, 179)])
+def test_enumerate_survivor_counts_beyond_oracle_range(n, r, count):
+    # past the brute-force oracle's reach; at r = 3 both the degree cap and
+    # the clique cap prune
+    assert len(enumerate_agreeable(n, r).survivors) == count
 
 
 def test_enumerate_survivors_validate_independently():
