@@ -175,13 +175,15 @@ class FVector:
 
 
 def intersection_graph(arr: Arrangement) -> Graph:
-    """Graph on 1..n with an edge exactly where two boxes meet."""
-    edges = []
-    for i in range(1, arr.n + 1):
-        bi = arr.boxes[i - 1]
-        for j in range(i + 1, arr.n + 1):
-            if intersect_boxes(bi, arr.boxes[j - 1]) is not None:
-                edges.append((i, j))
+    """Graph on 1..n with an edge exactly where two boxes meet: closed boxes
+    meet iff on every axis each side starts no later than the other ends."""
+    sides = [[(s.lo, s.hi) for s in b.sides] for b in arr.boxes]
+    edges = [
+        (i + 1, j + 1)
+        for i, a in enumerate(sides)
+        for j in range(i + 1, arr.n)
+        if all(la <= hb and lb <= ha for (la, ha), (lb, hb) in zip(a, sides[j]))
+    ]
     return Graph(arr.n, edges)
 
 

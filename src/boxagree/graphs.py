@@ -1,9 +1,9 @@
 """Simple undirected graphs with the queries the box-society combinatorics needs.
 
 Vertices are labelled 1..n with n capped at 64 so each adjacency row fits in
-one machine word; all the heavy queries (cliques, canonical forms, interval
-recognition) run on those bitsets.  Graphs are immutable values and every
-function here is pure.
+one machine word; all the heavy queries (cliques, canonical forms with
+automorphism generators, interval recognition) run on those bitsets.
+Graphs are immutable values and every function here is pure.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class Graph:
         return tuple(m.bit_count() for m in self._adj)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_labels(self._adj[v - 1]))
+        return frozenset(u + 1 for u in _bits(self._adj[v - 1]))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
@@ -116,13 +116,12 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 
 
-def _labels(mask: int):
-    v = 1
+def _bits(mask: int):
+    """0-based indices of the set bits, ascending."""
     while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -374,75 +373,177 @@ def is_interval_graph(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _refine(n: int, adj: tuple[int, ...], colors: tuple[int, ...]) -> tuple[int, ...]:
-    while True:
-        sigs = []
-        for v in range(n):
-            row = adj[v]
-            nb = []
-            m = row
+def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
+    """Split the ordered partition `cells` in place until it is equitable.
+
+    `cells[s]` is the bitset of the cell that starts at position s (0 at the
+    other positions).  Each splitter popped from `queue` (a cell start)
+    splits every cell by its vertices' neighbour counts in the splitter, in
+    ascending count order, so the result depends on the graph and the input
+    partition alone, never on vertex labels.  A split cell enqueues all of
+    its pieces but its first largest, unless it was queued already: its
+    counts with respect to that piece follow from the others'.
+    """
+    n = len(cells)
+    queued = 0
+    for s in queue:
+        queued |= 1 << s
+    while queue:
+        s = queue.pop()
+        queued &= ~(1 << s)
+        w = cells[s]
+        t = 0
+        while t < n:
+            x = cells[t]
+            size = x.bit_count()
+            if size == 1:
+                t += 1
+                continue
+            groups: dict[int, int] = {}
+            m = x
             while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                nb.append(colors[u])
-            nb.sort()
-            sigs.append((colors[v], tuple(nb)))
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(ranking[s] for s in sigs)
-        if new == colors:
-            return new
-        colors = new
+                low = m & -m
+                m ^= low
+                c = (adj[low.bit_length() - 1] & w).bit_count()
+                groups[c] = groups.get(c, 0) | low
+            if len(groups) > 1:
+                pieces = [groups[c] for c in sorted(groups)]
+                skip = -1 if queued >> t & 1 else max(
+                    range(len(pieces)), key=lambda i: (pieces[i].bit_count(), -i))
+                pos = t
+                for i, piece in enumerate(pieces):
+                    cells[pos] = piece
+                    if i != skip and not queued >> pos & 1:
+                        queued |= 1 << pos
+                        queue.append(pos)
+                    pos += piece.bit_count()
+            t += size
+
+
+def _orbit_roots(n: int, generators) -> list[int]:
+    """Union-find roots of the orbits of the group the permutations generate."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for gamma in generators:
+        for v in range(n):
+            a, b = find(v), find(gamma[v])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+def _canonical_labelling(
+    n: int, adj: tuple[int, ...]
+) -> tuple[bytes, list[int], list[tuple[int, ...]]]:
+    """Certificate, canonical vertex order and automorphism generators.
+
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): each node of the search tree holds an
+    equitable ordered partition; a child individualizes one vertex of the
+    first largest non-singleton cell, which stays a singleton at that cell's
+    start from then on.  A leaf is a discrete partition, i.e. a vertex order,
+    and the certificate is the least adjacency matrix over the leaves.
+
+    Two leaves with the same relabelled graph differ by an automorphism,
+    which is recorded; the search then returns to their deepest common
+    ancestor, since the current child there is the image of a sibling
+    already explored.  A node skips every child in the orbit of an explored
+    sibling under the recorded automorphisms that fix the node's
+    individualized vertices.  The generators found this way generate the
+    whole automorphism group.
+    """
+    cells = [0] * n
+    cells[0] = (1 << n) - 1
+    _refine(adj, cells, [0])
+    leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    generators: list[tuple[int, ...]] = []
+    best_key: tuple[int, ...] | None = None  # least relabelled graph
+    best_lab: list[int] = []  # and its vertex order
+
+    def leaf(cells: list[int], seq: list[int]) -> int:
+        nonlocal best_key, best_lab
+        lab = [c.bit_length() - 1 for c in cells]
+        pos = [0] * n
+        for i, v in enumerate(lab):
+            pos[v] = i
+        rows = []
+        for v in lab:
+            m = adj[v]
+            row = 0
+            while m:
+                low = m & -m
+                m ^= low
+                row |= 1 << pos[low.bit_length() - 1]
+            rows.append(row)
+        key = tuple(rows)
+        seen = leaves.get(key)
+        if seen is None:
+            leaves[key] = (lab, seq)
+            if best_key is None or key < best_key:
+                best_key, best_lab = key, lab
+            return len(seq)
+        other_lab, other_seq = seen
+        gamma = [0] * n
+        for u, v in zip(other_lab, lab):
+            gamma[u] = v
+        generators.append(tuple(gamma))
+        common = 0
+        while other_seq[common] == seq[common]:
+            common += 1
+        return common
+
+    def descend(cells: list[int], seq: list[int]) -> int:
+        """Explore the subtree; return the depth of the node to resume at."""
+        depth = len(seq)
+        target = -1
+        size = 1
+        s = 0
+        while s < n:
+            c = cells[s].bit_count()
+            if c > size:
+                target, size = s, c
+            s += c
+        if target < 0:
+            return leaf(cells, seq)
+        explored = 0
+        roots: list[int] = []
+        used = -1
+        cell = cells[target]
+        for v in _bits(cell):
+            if explored:
+                if used != len(generators):
+                    used = len(generators)
+                    roots = _orbit_roots(
+                        n, [g for g in generators if all(g[u] == u for u in seq)])
+                if any(roots[u] == roots[v] for u in _bits(explored)):
+                    continue
+            explored |= 1 << v
+            child = cells[:]
+            child[target] = 1 << v
+            child[target + 1] = cell ^ 1 << v
+            _refine(adj, child, [target])
+            back = descend(child, seq + [v])
+            if back < depth:
+                return back
+        return depth
+
+    descend(cells, [])
+    width = (n + 7) // 8
+    cert = bytes([n]) + b"".join(row.to_bytes(width, "big") for row in best_key)
+    return cert, best_lab, generators
 
 
 def canonical_certificate(n: int, adj: tuple[int, ...]) -> bytes:
     """Isomorphism-invariant certificate: two graphs get equal certificates
-    exactly when they are isomorphic.
-
-    Colour refinement plus individualization on the first non-singleton
-    cell; the certificate is the minimum adjacency bitstring over the
-    canonical labellings the search reaches.
-    """
-    best: bytes | None = None
-
-    def descend(colors: tuple[int, ...]) -> None:
-        nonlocal best
-        colors = _refine(n, adj, colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            perm = sorted(range(n), key=lambda v: colors[v])
-            bits = bytearray()
-            acc = 0
-            nbits = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    acc = (acc << 1) | (adj[perm[i]] >> perm[j] & 1)
-                    nbits += 1
-                    if nbits == 8:
-                        bits.append(acc)
-                        acc = 0
-                        nbits = 0
-            if nbits:
-                bits.append(acc << (8 - nbits))
-            cert = bytes([n]) + bytes(bits)
-            if best is None or cert < best:
-                best = cert
-            return
-        for v in target:
-            branched = tuple(
-                c * 2 if u == v else c * 2 + 1 for u, c in enumerate(colors)
-            )
-            descend(branched)
-
-    descend(tuple([0] * n))
-    assert best is not None
-    return best
+    exactly when they are isomorphic.  It holds n, then the rows of the
+    least relabelled adjacency matrix (see `_canonical_labelling`)."""
+    return _canonical_labelling(n, adj)[0]
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -1,15 +1,16 @@
-"""Exhaustive, isomorphism-pruned enumeration of (2,3)-agreeable graphs with
+"""Exhaustive, isomorphism-free enumeration of (2,3)-agreeable graphs with
 bounded clique number, and the table of maximal sizes eta(r) it certifies.
 
-The enumerator grows graphs one vertex at a time, keeping one canonical
-representative per isomorphism class per level.  A new vertex attaches to
-the complement of a clique of the current graph, since its non-neighbours
-must be pairwise adjacent; every such attachment keeps the graph
-agreeable, so only the clique cap and the degree cap eta(r-1) prune.  All
-three constraints are hereditary for vertex deletion, so every valid
-n-vertex graph is reachable from some representative one level down; the
-survivors are re-validated post hoc through the public queries,
-independent of the pruned search.
+The enumerator grows graphs one vertex at a time by canonical augmentation,
+so each level holds exactly one graph per isomorphism class and no two
+graphs are ever compared.  A new vertex attaches to the complement of a
+clique of the current graph, since its non-neighbours must be pairwise
+adjacent; every such attachment keeps the graph agreeable, and the clique
+cap and the degree cap eta(r-1) are built into which cliques are generated.
+All three constraints are hereditary for vertex deletion, so every valid
+n-vertex graph is reachable from the graph one level down that its
+canonical vertex leaves; the survivors are re-validated post hoc through
+the public queries, independent of the pruned search.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from . import fixtures
 from .boxicity import DEFAULT_BUDGET, decide_boxicity_leq, roberts_upper_bound
 from .graphs import (
     Graph,
+    _bits,
+    _canonical_labelling,
+    _orbit_roots,
     canonical_certificate,
     clique_number,
-    has_clique_of_size,
     is_agreeable,
     is_interval_graph,
 )
@@ -197,31 +200,85 @@ class SearchCertificate:
     graphs_examined: int
     survivors: tuple[Graph, ...]
     pruning: dict[str, int]
+    level_sizes: tuple[int, ...]  # isomorphism classes on 1..n vertices
 
 
-def _cliques_within(adj: tuple[int, ...], cand: int, floor: int):
-    """Every clique of at least `floor` vertices inside the bitset `cand`,
-    each once, as a bitset; grown by ascending vertex index."""
-    if floor <= 0:
+def _cliques_within(adj: tuple[int, ...], cand: int, floor: int, ceiling: int, hit=()):
+    """Every clique of `floor` to `ceiling` (at least 1) vertices inside the
+    bitset `cand` that meets every bitset in `hit`, each once, as a bitset;
+    grown by ascending vertex index.  A branch stops as soon as some bitset
+    in `hit` lies outside what it can still add."""
+    if floor <= 0 and not hit:
         yield 0
     while cand and cand.bit_count() >= floor:
-        v = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
-        for clique in _cliques_within(adj, cand & adj[v], floor - 1):
-            yield clique | 1 << v
+        if any(not h & cand for h in hit):
+            return
+        low = cand & -cand
+        cand ^= low
+        rest = [h for h in hit if not h & low]
+        if ceiling == 1:
+            if floor <= 1 and not rest:
+                yield low
+            continue
+        for clique in _cliques_within(
+            adj, cand & adj[low.bit_length() - 1], floor - 1, ceiling - 1, rest
+        ):
+            yield clique | low
+
+
+def _set_orbit_min(s: int, generators, known: dict[int, int]) -> int:
+    """Least bitset in the orbit of `s` under the generated group; every
+    orbit met is cached in `known`."""
+    if s in known:
+        return known[s]
+    orbit = {s}
+    stack = [s]
+    while stack:
+        t = stack.pop()
+        for gamma in generators:
+            image = 0
+            for v in _bits(t):
+                image |= 1 << gamma[v]
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    least = min(orbit)
+    for t in orbit:
+        known[t] = least
+    return least
 
 
 def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> SearchCertificate:
     """All (2,3)-agreeable graphs on n vertices with clique number <= r, up
     to isomorphism.
 
-    Orderly vertex-by-vertex extension: level k holds one canonical
-    representative per isomorphism class of valid k-vertex prefixes.  A new
-    vertex's non-neighbours must form a clique (two non-adjacent ones would
-    make an independent triple with it), so each attachment is the
-    complement of a clique of the prefix with at least k - eta(r-1)
-    vertices, which caps the new vertex's degree.  Branches die when they
-    push an old vertex's degree above eta(r-1) or close an (r+1)-clique.
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    1998): level k holds one graph per isomorphism class of valid k-vertex
+    graphs, and a child G + v of a level-k graph G is kept only when
+
+    - v's attachment is the least in its orbit under Aut(G), so that G has
+      one child per orbit of attachments ("orbit"); and
+    - v is canonical in G + v ("not_canonical"): it has the largest
+      (degree, sum of neighbour degrees), and on a tie it lies in the
+      Aut(G + v)-orbit of the first such vertex in the canonical order.
+
+    Every valid graph H then arises exactly once: deleting its canonical
+    vertex leaves a valid graph (all three constraints are hereditary), the
+    one graph of that class in the level below, and exactly one orbit of
+    attachments of it rebuilds H.
+
+    A new vertex's non-neighbours must form a clique (two non-adjacent ones
+    would make an independent triple with it), so each attachment is the
+    complement of a clique of G.  That clique meets every r-clique of G,
+    which keeps the clique number at most r, and has at least
+    k - eta(r-1) vertices, which caps the new vertex's degree; it has at
+    most k - max(deg G) vertices, since the new vertex needs the largest
+    degree.  The same degree test then keeps every old vertex within the
+    cap.  Labelling runs only on parents with an attachment that passes
+    the degree tests, and on children with a tie, whose automorphisms then
+    serve them as parents on the next level.  `level_sizes` counts
+    the classes on 1..n vertices; the survivors are re-validated through
+    the public queries and sorted by certificate.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n, r >= 1, got n={n}, r={r}")
@@ -230,49 +287,68 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
     degree_cap = table.best_upper(r - 1)
 
     examined = 0
-    pruning = {"degree_cap": 0, "clique_cap": 0, "isomorph": 0}
-
-    # level 1: the single vertex (trivially valid for every n, r >= 1)
-    start = (0,)
-    level: dict[bytes, tuple[int, ...]] = {canonical_certificate(1, start): start}
+    pruning = {"orbit": 0, "not_canonical": 0}
+    # each graph carries its automorphism generators, or None until labelled
+    level: list[tuple[tuple[int, ...], list | None]] = [((0,), [])]  # one vertex
+    sizes = [1]
 
     for k in range(1, n):
-        nxt: dict[bytes, tuple[int, ...]] = {}
-        for adj in level.values():
-            prefix = Graph.from_masks(k, adj)
-            fullk = (1 << k) - 1
-            saturated = sum(1 << v for v in range(k) if adj[v].bit_count() >= degree_cap)
-            # ascending attachments fix which labelled representative each class keeps
-            for attach in sorted(
-                fullk ^ clique for clique in _cliques_within(adj, fullk, k - degree_cap)
-            ):
+        nxt: list[tuple[tuple[int, ...], list | None]] = []
+        fullk = (1 << k) - 1
+        for adj, parent_aut in level:
+            deg = [m.bit_count() for m in adj]
+            # omega(G) <= r, so the cliques of at least r vertices are its r-cliques
+            r_cliques = list(_cliques_within(adj, fullk, r, r))
+            orbit_min: dict[int, int] = {}
+            # the new vertex's degree k - |clique| must reach max(deg)
+            for clique in _cliques_within(adj, fullk, k - degree_cap, k - max(deg), r_cliques):
                 examined += 1
-                if attach & saturated:
-                    pruning["degree_cap"] += 1
+                attach = fullk ^ clique
+                d = attach.bit_count()
+                # the old vertices' degrees in the child; none may beat d
+                newdeg = [deg[v] + (attach >> v & 1) for v in range(k)]
+                if max(newdeg) > d:
+                    pruning["not_canonical"] += 1
                     continue
-                if has_clique_of_size(prefix, r, within=attach):
-                    pruning["clique_cap"] += 1
-                    continue
+                newdeg.append(d)
                 newadj = tuple(
                     adj[v] | ((attach >> v & 1) << k) for v in range(k)
                 ) + (attach,)
-                cert = canonical_certificate(k + 1, newadj)
-                if cert in nxt:
-                    pruning["isomorph"] += 1
-                else:
-                    nxt[cert] = newadj
+                score = [
+                    sum(newdeg[w] for w in _bits(newadj[v])) if newdeg[v] == d else -1
+                    for v in range(k + 1)
+                ]
+                top = max(score)
+                if score[k] < top:
+                    pruning["not_canonical"] += 1
+                    continue
+                if parent_aut is None:
+                    parent_aut = _canonical_labelling(k, adj)[2]
+                if _set_orbit_min(attach, parent_aut, orbit_min) != attach:
+                    pruning["orbit"] += 1
+                    continue
+                child_aut = None
+                if score.count(top) > 1:
+                    _, order, child_aut = _canonical_labelling(k + 1, newadj)
+                    first = next(v for v in order if score[v] == top)
+                    roots = _orbit_roots(k + 1, child_aut)
+                    if roots[first] != roots[k]:
+                        pruning["not_canonical"] += 1
+                        continue
+                nxt.append((newadj, child_aut))
         level = nxt
+        sizes.append(len(level))
 
     survivors = []
-    for cert in sorted(level):
-        g = Graph.from_masks(n, level[cert])
+    for adj in sorted((adj for adj, _ in level), key=lambda a: canonical_certificate(n, a)):
+        g = Graph.from_masks(n, adj)
         # post-hoc re-validation through the public queries
         if not is_agreeable(g, 2, 3):  # pragma: no cover - search invariant
             raise RuntimeError("survivor failed agreeability re-validation")
         if clique_number(g) > r:  # pragma: no cover - search invariant
             raise RuntimeError("survivor failed clique re-validation")
         survivors.append(g)
-    return SearchCertificate(n, r, examined, tuple(survivors), pruning)
+    return SearchCertificate(n, r, examined, tuple(survivors), pruning, tuple(sizes))
 
 
 @dataclass(frozen=True)

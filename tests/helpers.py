@@ -7,7 +7,7 @@ checked against something that cannot share their bugs.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from random import Random
 
 from boxagree import Arrangement, Graph, clique_number, intersect_boxes
@@ -113,6 +113,17 @@ def agreeable_classes_oracle(n: int, r: int) -> set[bytes]:
         if clique_number(g) <= r and triple_induced_edge_property(g):
             seen.add(canonical_certificate(n, g._adj))
     return seen
+
+
+def automorphism_orbits_oracle(g: Graph) -> set[frozenset[int]]:
+    """Orbits of Aut(g), found by trying all n! permutations."""
+    edges = set(g.edges())
+    orbits = {v: {v} for v in range(1, g.n + 1)}
+    for perm in permutations(range(1, g.n + 1)):
+        if all(tuple(sorted((perm[u - 1], perm[v - 1]))) in edges for u, v in edges):
+            for v in range(1, g.n + 1):
+                orbits[v].add(perm[v - 1])
+    return {frozenset(orbit) for orbit in orbits.values()}
 
 
 def subset_clique_oracle(g: Graph, s: int) -> int:

@@ -15,8 +15,10 @@ from boxagree import (
     strip_universal,
 )
 from boxagree import fixtures
+from boxagree.graphs import _canonical_labelling
 
 from helpers import (
+    automorphism_orbits_oracle,
     complete,
     cycle,
     is_chordal_oracle,
@@ -259,10 +261,80 @@ def _all_labeled_graphs(n):
 
 def test_canonical_counts_match_unlabeled_graph_numbers():
     # distinct certificates over all labeled graphs = unlabeled graph counts
-    expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
+    expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
     for n, want in expected.items():
         certs = {canonical_form(g) for g in _all_labeled_graphs(n)}
         assert len(certs) == want
+
+
+def _generated_orbits(n, generators):
+    """Orbits (1-based) of the group the 0-based permutations generate."""
+    orbits = set()
+    for v in range(n):
+        seen = {v}
+        stack = [v]
+        while stack:
+            w = stack.pop()
+            for gamma in generators:
+                if gamma[w] not in seen:
+                    seen.add(gamma[w])
+                    stack.append(gamma[w])
+        orbits.add(frozenset(u + 1 for u in seen))
+    return orbits
+
+
+def _check_generators(g, generators):
+    edges = set(g.edges())
+    for gamma in generators:
+        image = {tuple(sorted((gamma[u - 1] + 1, gamma[v - 1] + 1))) for u, v in edges}
+        assert image == edges
+
+
+def test_labeller_orbits_match_brute_force_small():
+    for n in range(1, 6):
+        for g in _all_labeled_graphs(n):
+            _, _, generators = _canonical_labelling(g.n, g._adj)
+            _check_generators(g, generators)
+            assert _generated_orbits(n, generators) == automorphism_orbits_oracle(g)
+
+
+def test_labeller_orbits_match_brute_force_six():
+    # brute force over all 720 permutations once per isomorphism class; the
+    # other members get those orbits through an isomorphism that is checked
+    # edge by edge, so the library's canonical order only proposes it
+    first: dict[bytes, tuple] = {}
+    for g in _all_labeled_graphs(6):
+        cert, order, generators = _canonical_labelling(g.n, g._adj)
+        _check_generators(g, generators)
+        if cert not in first:
+            first[cert] = (g, order, automorphism_orbits_oracle(g))
+        rep, rep_order, rep_orbits = first[cert]
+        sigma = {u + 1: v + 1 for u, v in zip(rep_order, order)}
+        assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in rep.edges()} == set(g.edges())
+        expected = {frozenset(sigma[v] for v in orbit) for orbit in rep_orbits}
+        assert _generated_orbits(6, generators) == expected
+    assert len(first) == 156
+
+
+def test_labeller_orbits_match_brute_force_seven():
+    rng = Random(19)
+    for p in (0.3, 0.5, 0.7) * 8:
+        g = Graph(7, [(u, v) for u in range(1, 8) for v in range(u + 1, 8) if rng.random() < p])
+        _, _, generators = _canonical_labelling(g.n, g._adj)
+        _check_generators(g, generators)
+        assert _generated_orbits(7, generators) == automorphism_orbits_oracle(g)
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_canonical_k_partite_relabelled(d):
+    g = fixtures.load(f"k_partite {d}")
+    want = canonical_form(g)
+    rng = Random(20 + d)
+    for _ in range(3):
+        perm = list(range(1, g.n + 1))
+        rng.shuffle(perm)
+        relabeled = Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+        assert canonical_form(relabeled) == want
 
 
 def test_interval_counts_match_known_sequence():

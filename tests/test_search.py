@@ -60,6 +60,15 @@ def test_enumerate_survivor_counts_beyond_oracle_range(n, r, count):
     assert len(enumerate_agreeable(n, r).survivors) == count
 
 
+def test_enumerate_level_sizes_and_accounting():
+    cert = enumerate_agreeable(13, 4)
+    assert cert.level_sizes == (1, 2, 3, 7, 13, 32, 71, 179, 290, 313, 105, 12, 1)
+    assert len(cert.survivors) == cert.level_sizes[-1]
+    # every attachment examined is pruned by one rule or kept as a class
+    assert cert.graphs_examined == sum(cert.pruning.values()) + sum(cert.level_sizes[1:])
+    assert enumerate_agreeable(9, 3).level_sizes == (1, 2, 3, 6, 9, 15, 9, 3, 0)
+
+
 def test_enumerate_survivors_validate_independently():
     for n, r in ((7, 3), (8, 3)):
         for g in enumerate_agreeable(n, r).survivors:
