@@ -284,14 +284,22 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
         raise ValueError(f"need n, r >= 1, got n={n}, r={r}")
     if table is None:
         table = default_eta_table()
+    work = {"examined": 0, "orbit": 0, "not_canonical": 0}
+    sizes = []
+    for level in _levels(n, r, table, work):
+        sizes.append(len(level))
+    examined = work.pop("examined")
+    return SearchCertificate(n, r, examined, _survivors(n, r, level), work, tuple(sizes))
+
+
+def _levels(n: int, r: int, table: EtaTable, work: dict[str, int]):
+    """Yield the levels k = 1..n of the canonical augmentation in
+    `enumerate_agreeable`, each a list of (adjacency rows, automorphism
+    generators or None until labelled), one per isomorphism class.  `work`
+    counts the attachments "examined" and those pruned by each rule."""
     degree_cap = table.best_upper(r - 1)
-
-    examined = 0
-    pruning = {"orbit": 0, "not_canonical": 0}
-    # each graph carries its automorphism generators, or None until labelled
     level: list[tuple[tuple[int, ...], list | None]] = [((0,), [])]  # one vertex
-    sizes = [1]
-
+    yield level
     for k in range(1, n):
         nxt: list[tuple[tuple[int, ...], list | None]] = []
         fullk = (1 << k) - 1
@@ -302,13 +310,13 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
             orbit_min: dict[int, int] = {}
             # the new vertex's degree k - |clique| must reach max(deg)
             for clique in _cliques_within(adj, fullk, k - degree_cap, k - max(deg), r_cliques):
-                examined += 1
+                work["examined"] += 1
                 attach = fullk ^ clique
                 d = attach.bit_count()
                 # the old vertices' degrees in the child; none may beat d
                 newdeg = [deg[v] + (attach >> v & 1) for v in range(k)]
                 if max(newdeg) > d:
-                    pruning["not_canonical"] += 1
+                    work["not_canonical"] += 1
                     continue
                 newdeg.append(d)
                 newadj = tuple(
@@ -320,12 +328,12 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
                 ]
                 top = max(score)
                 if score[k] < top:
-                    pruning["not_canonical"] += 1
+                    work["not_canonical"] += 1
                     continue
                 if parent_aut is None:
                     parent_aut = _canonical_labelling(k, adj)[2]
                 if _set_orbit_min(attach, parent_aut, orbit_min) != attach:
-                    pruning["orbit"] += 1
+                    work["orbit"] += 1
                     continue
                 child_aut = None
                 if score.count(top) > 1:
@@ -333,22 +341,25 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
                     first = next(v for v in order if score[v] == top)
                     roots = _orbit_roots(k + 1, child_aut)
                     if roots[first] != roots[k]:
-                        pruning["not_canonical"] += 1
+                        work["not_canonical"] += 1
                         continue
                 nxt.append((newadj, child_aut))
         level = nxt
-        sizes.append(len(level))
+        yield level
 
+
+def _survivors(n: int, r: int, level) -> tuple[Graph, ...]:
+    """The graphs of a level sorted by certificate, each re-validated
+    through the public queries, independent of the pruned search."""
     survivors = []
     for adj in sorted((adj for adj, _ in level), key=lambda a: canonical_certificate(n, a)):
         g = Graph.from_masks(n, adj)
-        # post-hoc re-validation through the public queries
         if not is_agreeable(g, 2, 3):  # pragma: no cover - search invariant
             raise RuntimeError("survivor failed agreeability re-validation")
         if clique_number(g) > r:  # pragma: no cover - search invariant
             raise RuntimeError("survivor failed clique re-validation")
         survivors.append(g)
-    return SearchCertificate(n, r, examined, tuple(survivors), pruning, tuple(sizes))
+    return tuple(survivors)
 
 
 @dataclass(frozen=True)
@@ -400,8 +411,9 @@ def min_agreement_proportion(
     best: Fraction | None = None
     minimizers: list[Graph] = []
     undecided: list[Graph] = []
-    for n in range(1, n_max + 1):
-        for g in enumerate_agreeable(n, r, table).survivors:
+    work = {"examined": 0, "orbit": 0, "not_canonical": 0}
+    for n, level in enumerate(_levels(n_max, r, table, work), start=1):
+        for g in _survivors(n, r, level):
             if d_constraint is not None:
                 try:
                     if not _box_at_most(g, d_constraint, budget):

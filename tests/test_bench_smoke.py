@@ -1,5 +1,5 @@
-"""One pass of the paper, societies and orderly benchmark workloads, so
-bench/run.py cannot rot.
+"""One pass of the paper, societies, orderly and boxdecide benchmark
+workloads, so bench/run.py cannot rot.
 
 With --seconds 0 a run makes a single pass and checks every output against
 the benchmark's own oracles (bench/oracle.py); a wrong answer exits 1.  The
@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["paper", "societies", "orderly"])
+@pytest.mark.parametrize("workload", ["paper", "societies", "orderly", "boxdecide"])
 def test_bench_single_pass_is_correct(workload, tmp_path):
     skip = shutil.ignore_patterns("__pycache__", "*.egg-info")
     for name in ("bench", "src"):

@@ -1,3 +1,4 @@
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from boxagree import (
     roberts_upper_bound,
 )
 from boxagree import fixtures
+from boxagree.boxicity import _is_chordal
 
 from helpers import complete, cycle, path, random_graph
 
@@ -89,6 +91,16 @@ def test_decide_monotone_in_d():
         assert all(s == "yes" for s in statuses[first_yes:])
 
 
+def test_decide_interval_at_one_is_outside_the_exhaustive_budget():
+    # 171 non-edges: 2^171 masks would exhaust any budget, but one axis
+    # must separate them all, so d = 1 tries the full mask alone
+    g = path(20)
+    decision = decide_boxicity_leq(g, 1)
+    assert decision.status == "yes"
+    assert decision.witness.dimension == 1
+    assert intersection_graph(decision.witness) == g
+
+
 def test_budget_exhaustion_is_inconclusive():
     g = fixtures.expected_graph("fig38a")
     decision = decide_boxicity_leq(g, 2, budget=10)
@@ -124,6 +136,45 @@ def test_report_fig38c_settles_at_three():
     rep = boxicity_report(fixtures.load("fig38c"))
     assert rep.exact == 3
     assert any("no 2-box realization" in note for note in rep.notes)
+
+
+def test_report_exact_is_least_yes_decision_random():
+    rng = Random(34)
+    for _ in range(20):
+        g = random_graph(rng, max_n=7)
+        if g.is_complete():
+            continue
+        rep = boxicity_report(g)
+        least = next(d for d in range(1, g.n + 1)
+                     if decide_boxicity_leq(g, d).status == "yes")
+        assert rep.exact == least
+
+
+def test_report_scans_once_for_every_d():
+    # decide(fig38c, 2) spends 1,040 nodes and decide(fig38c, 3) 1,029, of
+    # which 1,024 are the scan; one scan leaves budget for both covers
+    rep = boxicity_report(fixtures.load("fig38c"), budget=1500)
+    assert rep.exact == 3
+    assert intersection_graph(rep.witness) == fixtures.load("fig38c")
+
+
+def test_chordal_prefilter_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def check(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(1, g.n + 1))
+        h.add_edges_from(g.edges())
+        assert _is_chordal(g) == nx.is_chordal(h), g
+
+    for n in range(1, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            check(Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+    rng = Random(35)
+    for _ in range(400):
+        n, p = rng.randint(6, 9), rng.uniform(0.3, 0.95)
+        check(Graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
 
 
 def test_report_bounds_sandwich_random():

@@ -178,6 +178,21 @@ def test_min_proportion_unconstrained_r2():
     assert min_agreement_proportion(2).value == Fraction(2, 5)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_min_proportion_walk_matches_enumeration_per_n(r):
+    # one walk of the levels serves every n; it must find the graphs that
+    # enumerate_agreeable finds for each n, in (n, certificate) order
+    ranked = [
+        (Fraction(clique_number(g), n), g)
+        for n in range(1, default_eta_table().confirmed(r) + 1)
+        for g in enumerate_agreeable(n, r).survivors
+    ]
+    best = min(prop for prop, _ in ranked)
+    result = min_agreement_proportion(r)
+    assert result.value == best
+    assert result.minimizers == tuple(g for prop, g in ranked if prop == best)
+
+
 def test_min_proportion_desk_scale_limits():
     with pytest.raises(ValueError):
         min_agreement_proportion(4, 2)
