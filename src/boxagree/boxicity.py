@@ -2,18 +2,19 @@
 
 box(g) <= d exactly when g is the intersection of d interval supergraphs on
 its vertex set.  Each such axis graph leaves out ("separates") a set of
-non-edges, a mask over them.  One scan per graph visits every mask, builds
-its axis graph as bitset rows and records the clique order of each maximal
-mask whose axis graph is interval; a cover then picks at most d recorded
-masks that separate every non-edge, and their orders place the witness
-boxes.  Only d = 1 changes the scan: one axis must separate every non-edge,
-so the full mask is the only one tried.  Otherwise the scan costs
-2^(non-edges) nodes and serves every d, which makes n = 8 exhaustible.
+non-edges, a mask over them; only the maximal masks whose axis graph is
+interval matter, the complements of the minimal interval supergraphs of g.
+A graph is interval exactly when some vertex order has uv an edge whenever
+u < v < w and uw is one (Olariu 1991), so each minimal interval supergraph
+closes g under an order, and one DP over vertex subsets (Bodlaender et al.
+2012) finds them all, for every d at once.  A cover then picks at most d
+of them that separate every non-edge, and the clique orders of their axis
+graphs place the witness boxes.  At d = 1 the one axis separates every
+non-edge, so g itself is tested for being interval.
 
-A "no" is only ever reported after that space is exhausted; hitting the node
-budget yields "inconclusive" instead.  Every "yes" carries a realizing
-arrangement whose intersection graph is re-derived and compared bit-exactly
-before it is returned.
+"No" comes only from a finished DP and cover; a budget too small for them
+yields "inconclusive".  Every "yes" carries a realizing arrangement whose
+intersection graph is re-derived and compared bit-exactly.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ class _Budget:
         self.spent = 0
 
     def spend(self, k: int = 1) -> None:
+        if k > self.remaining:
+            raise BudgetExhausted
         self.remaining -= k
         self.spent += k
-        if self.remaining < 0:
-            raise BudgetExhausted
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,10 @@ def _interval_witness_axis(order: list[int]) -> dict[int, tuple[Fraction, Fracti
     return {v: (Fraction(a), Fraction(b)) for v, (a, b) in spans.items()}
 
 
-def _build_witness(g: Graph, d: int, orders: list[list[int]]) -> Arrangement:
+def _build_witness(g: Graph, d: int, orders: list[list[int] | None]) -> Arrangement:
     """The d-box arrangement with one axis per consecutive clique order."""
+    if None in orders:  # pragma: no cover - construction invariant
+        raise RuntimeError("a chosen axis graph is not an interval graph")
     axes = [_interval_witness_axis(order) for order in orders]
     while len(axes) < d:
         axes.append({v: (Fraction(0), Fraction(1)) for v in range(g.n)})
@@ -102,79 +105,68 @@ def _build_witness(g: Graph, d: int, orders: list[list[int]]) -> Arrangement:
     return witness
 
 
-def _is_chordal(g: Graph) -> bool:
-    """Quick interval-graph pre-filter: peel simplicial vertices."""
-    adj = list(g._adj)
-    alive = (1 << g.n) - 1
-    for _ in range(g.n):
-        found = False
-        m = alive
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nb = adj[v] & alive
-            ok = True
-            t = nb
-            while t:
-                u = (t & -t).bit_length() - 1
-                t &= t - 1
-                if nb & ~adj[u] & ~(1 << u):
-                    ok = False
-                    break
-            if ok:
-                alive &= ~(1 << v)
-                found = True
-                break
-        if not found:
-            return False
-    return True
+def _interval_witness(g: Graph, tracker: _Budget) -> Arrangement | None:
+    """A 1-box realization, or None: one axis must separate every non-edge,
+    so its axis graph is g itself."""
+    tracker.spend()
+    order = interval_clique_order(g)
+    return None if order is None else _build_witness(g, 1, [order])
 
 
-def _scan(g: Graph, d: int, tracker: _Budget) -> tuple[int, dict[int, list[int]]]:
-    """The mask of all non-edges, and each maximal realizable mask with the
-    clique order of its axis graph.  Bit i of a mask is the i-th non-edge in
-    row order; a mask is realizable when its axis graph (g plus the
-    non-edges it does not separate) is an interval graph.
+def _minimal(sets) -> list[int]:
+    """The inclusion-minimal bitsets among `sets`, fewest bits first."""
+    kept: list[int] = []
+    for s in sorted(set(sets), key=int.bit_count):
+        if all(t & ~s for t in kept):
+            kept.append(s)
+    return kept
 
-    Masks are visited in descending order, so every superset of a mask comes
-    before it: a mask inside one already kept is skipped, and the kept masks
-    are exactly the maximal realizable ones.  A single axis must separate
-    every non-edge, so at d = 1 only the full mask is tried.
+
+def _masks(g: Graph, tracker: _Budget) -> tuple[list[tuple[int, int]], list[int]]:
+    """The non-edges in row order and, in descending order, every maximal
+    mask over them whose axis graph (g plus the non-edges the mask does not
+    separate) is interval.  Bit i of a mask is the i-th non-edge.
+
+    Placing v after the set P adds the non-edges uv with u in P and N(u)
+    not inside P, so `layer` maps each P to the minimal sets its orders add.
+    Universal vertices add nothing and go first; the m others take
+    m 2^(m-1) transitions, paid for before the DP starts.
     """
-    adj = g._adj
-    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                 if not adj[u] >> v & 1]
-    k = len(non_edges)
-    full = (1 << k) - 1
-    if d == 1:
-        masks = (full,)
-    elif k >= 63 or (1 << k) > tracker.remaining:
-        raise BudgetExhausted  # cannot exhaust the separated-set space
-    else:
-        masks = range(full, -1, -1)
-    maximal: dict[int, list[int]] = {}
-    for mask in masks:
-        tracker.spend()
-        if any(mask & m == mask for m in maximal):
-            continue
-        rows = list(adj)
-        for i in _bits(full ^ mask):  # the non-edges this axis keeps
-            u, v = non_edges[i]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        h = Graph.from_masks(g.n, rows)
-        if _is_chordal(h):
-            order = interval_clique_order(h)
-            if order is not None:
-                maximal[mask] = order
-    return full, maximal
+    n, adj = g.n, g._adj
+    everyone = (1 << n) - 1
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not adj[u] >> v & 1]
+    sep = [0] * n  # sep[u]: the mask bits of the non-edges at u
+    for i, (u, v) in enumerate(non_edges):
+        sep[u] |= 1 << i
+        sep[v] |= 1 << i
+    others = [v for v in range(n) if sep[v]]
+    m = len(others)
+    tracker.spend(m << m - 1)
+    layer = {everyone ^ sum(1 << v for v in others): [0]}
+    for _ in range(m):
+        nxt: dict[int, list[int]] = {}
+        for placed, added in layer.items():
+            pending = 0  # the non-edges at placed vertices with a neighbour to place
+            free = []
+            for u in others:
+                if not placed >> u & 1:
+                    free.append(u)
+                elif adj[u] & ~placed:
+                    pending |= sep[u]
+            for v in free:
+                extra = pending & sep[v]
+                nxt.setdefault(placed | 1 << v, []).extend([a | extra for a in added])
+        layer = {placed: _minimal(found) for placed, found in nxt.items()}
+    full = (1 << len(non_edges)) - 1
+    return non_edges, sorted((full ^ a for a in layer[everyone]), reverse=True)
 
 
-def _cover(g: Graph, d: int, full: int, maximal: dict[int, list[int]],
+def _cover(g: Graph, d: int, non_edges: list[tuple[int, int]], masks: list[int],
            tracker: _Budget) -> Arrangement | None:
-    """A d-box realization from at most d of the scan's maximal masks that
-    together separate every non-edge, or None when no such masks exist."""
-    per_element = [[m for m in maximal if m >> i & 1] for i in range(full.bit_length())]
+    """A d-box realization from at most d of the maximal masks that together
+    separate every non-edge, or None when no such masks exist."""
+    full = (1 << len(non_edges)) - 1
+    per_element = [[m for m in masks if m >> i & 1] for i in range(len(non_edges))]
     chosen: list[int] = []
 
     def cover(uncovered: int, axes_left: int) -> bool:
@@ -193,16 +185,20 @@ def _cover(g: Graph, d: int, full: int, maximal: dict[int, list[int]],
 
     if not cover(full, d):
         return None
-    return _build_witness(g, d, [maximal[m] for m in chosen])
+    orders = []
+    for m in chosen:  # each axis graph keeps the non-edges its mask does not separate
+        kept = tuple((u + 1, v + 1) for i, (u, v) in enumerate(non_edges) if not m >> i & 1)
+        orders.append(interval_clique_order(Graph(g.n, g.edges() + kept)))
+    return _build_witness(g, d, orders)
 
 
 def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> BoxicityDecision:
     """Decide box(g) <= d exactly, within a node budget.
 
-    Returns "yes" with a realizing d-box arrangement, "no" after exhausting
-    the symmetry-reduced search space, or "inconclusive" when the budget
-    runs out first.  Complete graphs are rejected (their boxicity is 0 by
-    convention, so there is nothing to search).
+    Returns "yes" with a realizing d-box arrangement, "no" once no d of
+    the maximal realizable masks separate every non-edge, or "inconclusive"
+    when the budget cannot pay for the search.  Complete graphs are rejected
+    (their boxicity is 0 by convention, so there is nothing to search).
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
@@ -210,7 +206,8 @@ def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> Boxic
         raise ValueError("complete graph: boxicity is 0 by convention")
     tracker = _Budget(budget)
     try:
-        witness = _cover(g, d, *_scan(g, d, tracker), tracker)
+        witness = (_interval_witness(g, tracker) if d == 1
+                   else _cover(g, d, *_masks(g, tracker), tracker))
     except BudgetExhausted:
         return BoxicityDecision("inconclusive", None, tracker.spent)
     return BoxicityDecision("no" if witness is None else "yes", witness, tracker.spent)
@@ -218,7 +215,7 @@ def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> Boxic
 
 def boxicity_report(g: Graph, budget: int = DEFAULT_BUDGET) -> BoxicityReport:
     """Lower/upper bounds with the exact value filled in when the decision
-    search can close the gap within budget.  One scan serves every d >= 2;
+    search can close the gap within budget.  One DP serves every d >= 2;
     the budget covers the whole report."""
     if g.is_complete():
         return BoxicityReport(0, 0, 0, None, ("complete graph: boxicity 0",))
@@ -227,7 +224,7 @@ def boxicity_report(g: Graph, budget: int = DEFAULT_BUDGET) -> BoxicityReport:
     tracker = _Budget(budget)
     lower = d = 1
     try:
-        witness = _cover(g, 1, *_scan(g, 1, tracker), tracker)
+        witness = _interval_witness(g, tracker)
         if witness is not None:
             return BoxicityReport(1, upper, 1, witness, ("interval graph: boxicity 1",))
         lower = 2
@@ -244,9 +241,9 @@ def boxicity_report(g: Graph, budget: int = DEFAULT_BUDGET) -> BoxicityReport:
             notes.append("bounds meet: exact without search")
             return BoxicityReport(lower, upper, upper, None, tuple(notes))
         d = lower
-        scan = _scan(g, d, tracker)
+        masks = _masks(g, tracker)
         for d in range(lower, upper + 1):
-            witness = _cover(g, d, *scan, tracker)
+            witness = _cover(g, d, *masks, tracker)
             if witness is not None:
                 notes.append(f"search realized the graph with {d}-boxes")
                 return BoxicityReport(lower, upper, d, witness, tuple(notes))

@@ -25,7 +25,7 @@ from .graphs import (
     _bits,
     _canonical_labelling,
     _orbit_roots,
-    canonical_certificate,
+    canonical_form,
     clique_number,
     is_agreeable,
     is_interval_graph,
@@ -289,7 +289,8 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
     for level in _levels(n, r, table, work):
         sizes.append(len(level))
     examined = work.pop("examined")
-    return SearchCertificate(n, r, examined, _survivors(n, r, level), work, tuple(sizes))
+    survivors = tuple(sorted(_survivors(n, r, level), key=canonical_form))
+    return SearchCertificate(n, r, examined, survivors, work, tuple(sizes))
 
 
 def _levels(n: int, r: int, table: EtaTable, work: dict[str, int]):
@@ -348,18 +349,18 @@ def _levels(n: int, r: int, table: EtaTable, work: dict[str, int]):
         yield level
 
 
-def _survivors(n: int, r: int, level) -> tuple[Graph, ...]:
-    """The graphs of a level sorted by certificate, each re-validated
-    through the public queries, independent of the pruned search."""
+def _survivors(n: int, r: int, level) -> list[Graph]:
+    """The graphs of a level, each re-validated through the public queries,
+    independent of the pruned search."""
     survivors = []
-    for adj in sorted((adj for adj, _ in level), key=lambda a: canonical_certificate(n, a)):
+    for adj, _ in level:
         g = Graph.from_masks(n, adj)
         if not is_agreeable(g, 2, 3):  # pragma: no cover - search invariant
             raise RuntimeError("survivor failed agreeability re-validation")
         if clique_number(g) > r:  # pragma: no cover - search invariant
             raise RuntimeError("survivor failed clique re-validation")
         survivors.append(g)
-    return tuple(survivors)
+    return survivors
 
 
 @dataclass(frozen=True)
@@ -401,10 +402,8 @@ def min_agreement_proportion(
         raise ValueError(f"need r >= 1, got {r}")
     if d_constraint is not None and d_constraint < 1:
         raise ValueError(f"need d_constraint >= 1, got {d_constraint}")
-    if d_constraint is not None and r > 3:
-        raise ValueError("boxicity-filtered minima are limited to r <= 3")
     if r > 4:
-        raise ValueError("unconstrained minima are limited to r <= 4")
+        raise ValueError("minima are limited to r <= 4")
     if table is None:
         table = default_eta_table()
     n_max = table.confirmed(r)
@@ -434,6 +433,7 @@ def min_agreement_proportion(
         )
     if best is None:  # pragma: no cover - K1 always qualifies
         raise RuntimeError("no graphs enumerated")
+    minimizers.sort(key=lambda g: (g.n, canonical_form(g)))
     return ProportionResult(best, tuple(minimizers), d_constraint)
 
 

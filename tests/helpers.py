@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from random import Random
 
-from boxagree import Arrangement, Graph, clique_number, intersect_boxes
+from boxagree import Arrangement, Graph, clique_number, intersect_boxes, is_interval_graph
 from boxagree.graphs import canonical_certificate
 
 
@@ -157,6 +157,42 @@ def is_chordal_oracle(g: Graph) -> bool:
             return False
         alive.remove(simplicial)
     return True
+
+
+def maximal_interval_masks_oracle(g: Graph) -> list[int]:
+    """Every maximal mask of separated non-edges whose axis graph is an
+    interval graph, in descending order.  Bit i of a mask is the i-th
+    non-edge in row order; the axis graph is g plus the non-edges the mask
+    does not separate.  All 2^(non-edges) masks are visited from the top, so
+    every superset of a mask comes before it and a mask inside one already
+    kept is skipped."""
+    non_edges = [e for e in combinations(range(1, g.n + 1), 2) if not g.has_edge(*e)]
+    maximal: list[int] = []
+    for mask in range((1 << len(non_edges)) - 1, -1, -1):
+        if any(mask & m == mask for m in maximal):
+            continue
+        kept = tuple(e for i, e in enumerate(non_edges) if not mask >> i & 1)
+        if is_interval_graph(Graph(g.n, g.edges() + kept)):
+            maximal.append(mask)
+    return maximal
+
+
+def minimal_interval_supergraphs_oracle(n: int) -> list[list[int]]:
+    """For every labelled graph on 1..n, written as a bitset over the pairs
+    of combinations(range(1, n + 1), 2) and used as the index, its minimal
+    interval supergraphs in the same code.  An interval graph is its own;
+    every interval supergraph of any other graph contains one of its
+    one-edge extensions, so the graphs are visited from the complete one
+    down."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    least: list[list[int]] = [[] for _ in range(1 << len(pairs))]
+    for e in range(len(least) - 1, -1, -1):
+        if is_interval_graph(Graph(n, [p for i, p in enumerate(pairs) if e >> i & 1])):
+            least[e] = [e]
+            continue
+        found = {h for i in range(len(pairs)) if not e >> i & 1 for h in least[e | 1 << i]}
+        least[e] = [h for h in found if not any(t != h and t & h == t for t in found)]
+    return least
 
 
 def cycle(n: int) -> Graph:

@@ -248,7 +248,7 @@ def test_main_theorem():
 # -- 7. humility: out-of-reach values stay out of reach ------------------------------
 
 
-@criterion(7, "desk-scale limits declared: eta(5), rho(r>=4, d); fig38c attempted")
+@criterion(7, "desk-scale limits declared: eta(5); rho(4, 2), rho(4, 3) computed; fig38c attempted")
 def test_desk_scale_limits():
     with pytest.raises(ValueError):
         ba.confirm_eta(5)
@@ -256,8 +256,12 @@ def test_desk_scale_limits():
     assert table.entry(5).confirmed is None
     assert table.entry(5).upper_bound == 18
 
-    with pytest.raises(ValueError):
-        ba.min_agreement_proportion(4, 2)
+    rho42 = ba.min_agreement_proportion(4, 2)
+    assert rho42.value == Fraction(3, 8)
+    assert [g.n for g in rho42.minimizers] == [8, 8]
+    rho43 = ba.min_agreement_proportion(4, 3)
+    assert rho43.value == Fraction(1, 3)
+    assert [g.n for g in rho43.minimizers] == [12] * 11
 
     # the open fig38c question is attempted; its outcome is reported, not gated
     report = ba.boxicity_report(fixtures.load("fig38c"))

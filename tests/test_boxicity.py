@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 from random import Random
 
@@ -13,9 +14,16 @@ from boxagree import (
     roberts_upper_bound,
 )
 from boxagree import fixtures
-from boxagree.boxicity import _is_chordal
+from boxagree.boxicity import DEFAULT_BUDGET, _Budget, _masks
 
-from helpers import complete, cycle, path, random_graph
+from helpers import (
+    complete,
+    cycle,
+    maximal_interval_masks_oracle,
+    minimal_interval_supergraphs_oracle,
+    path,
+    random_graph,
+)
 
 
 def test_adiga_examples():
@@ -152,29 +160,52 @@ def test_report_exact_is_least_yes_decision_random():
 
 def test_report_scans_once_for_every_d():
     # decide(fig38c, 2) spends 1,040 nodes and decide(fig38c, 3) 1,029, of
-    # which 1,024 are the scan; one scan leaves budget for both covers
+    # which 1,024 are the DP's transitions (8 vertices: 8 * 2^7); one DP
+    # leaves budget for the d = 1 test and both covers, two DPs would not fit
     rep = boxicity_report(fixtures.load("fig38c"), budget=1500)
     assert rep.exact == 3
     assert intersection_graph(rep.witness) == fixtures.load("fig38c")
 
 
-def test_chordal_prefilter_matches_networkx():
-    nx = pytest.importorskip("networkx")
-
-    def check(g):
-        h = nx.Graph()
-        h.add_nodes_from(range(1, g.n + 1))
-        h.add_edges_from(g.edges())
-        assert _is_chordal(g) == nx.is_chordal(h), g
-
-    for n in range(1, 6):
+def test_masks_match_oracle_on_every_labelled_graph_up_to_six_vertices():
+    for n in range(2, 7):
         pairs = list(combinations(range(1, n + 1), 2))
-        for mask in range(1 << len(pairs)):
-            check(Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
-    rng = Random(35)
-    for _ in range(400):
-        n, p = rng.randint(6, 9), rng.uniform(0.3, 0.95)
-        check(Graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
+        least = minimal_interval_supergraphs_oracle(n)
+        for e in range(len(least) - 1):  # every graph but the complete one
+            g = Graph(n, [p for i, p in enumerate(pairs) if e >> i & 1])
+            absent = [i for i in range(len(pairs)) if not e >> i & 1]  # the non-edges
+            # an interval supergraph h separates the non-edges it leaves out
+            expected = sorted(
+                (sum(1 << j for j, i in enumerate(absent) if not h >> i & 1) for h in least[e]),
+                reverse=True,
+            )
+            assert _masks(g, _Budget(DEFAULT_BUDGET))[1] == expected, g
+
+
+def test_masks_match_scan_oracle_on_fixtures_and_seeded_graphs():
+    graphs = [fixtures.expected_graph("fig38a"), fixtures.expected_graph("fig38b"),
+              fixtures.load("fig38c"), fixtures.load("w4"),
+              intersection_graph(fixtures.load("z5")),
+              fixtures.k_partite(3), fixtures.k_partite(4)]
+    rng = Random(37)
+    seeded = 0
+    while seeded < 200:
+        n, p = rng.randint(7, 9), rng.uniform(0.7, 0.95)
+        g = Graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+        if 0 < math.comb(n, 2) - g.edge_count() <= 16:
+            graphs.append(g)
+            seeded += 1
+    for g in graphs:
+        assert _masks(g, _Budget(DEFAULT_BUDGET))[1] == maximal_interval_masks_oracle(g), g
+
+
+def test_fig134_has_boxicity_four():
+    g = fixtures.load("fig134")
+    assert decide_boxicity_leq(g, 3).status == "no"
+    rep = boxicity_report(g)
+    assert rep.exact == 4
+    assert rep.witness.dimension == 4
+    assert intersection_graph(rep.witness) == g
 
 
 def test_report_bounds_sandwich_random():

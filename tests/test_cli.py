@@ -122,6 +122,12 @@ def test_boxicity_command_report(capsys):
     assert "exact 3" in out
 
 
+def test_boxicity_command_settles_fig134(capsys):
+    code, out, _ = run(capsys, "boxicity", "fig134")
+    assert code == 0
+    assert "exact 4" in out
+
+
 def test_fixtures_list(capsys):
     code, out, _ = run(capsys, "fixtures", "list")
     assert code == 0

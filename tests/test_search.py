@@ -195,7 +195,7 @@ def test_min_proportion_walk_matches_enumeration_per_n(r):
 
 def test_min_proportion_desk_scale_limits():
     with pytest.raises(ValueError):
-        min_agreement_proportion(4, 2)
+        min_agreement_proportion(5, 2)
     with pytest.raises(ValueError):
         min_agreement_proportion(5)
 
