@@ -48,6 +48,7 @@ from .graphs import (
     Graph,
     are_isomorphic,
     canonical_form,
+    clique_counts,
     clique_number,
     count_cliques_of_size,
     degree_profile,

@@ -20,7 +20,7 @@ intersection graph is re-derived and compared bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .geometry import Arrangement, Box, RationalInterval, intersection_graph
@@ -61,6 +61,7 @@ class BoxicityReport:
     exact: int | None
     witness: Arrangement | None
     notes: tuple[str, ...] = ()
+    nodes: int = 0  # budget spent across the whole report
 
 
 def adiga_lower_bound(g: Graph) -> int:
@@ -216,12 +217,16 @@ def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> Boxic
 def boxicity_report(g: Graph, budget: int = DEFAULT_BUDGET) -> BoxicityReport:
     """Lower/upper bounds with the exact value filled in when the decision
     search can close the gap within budget.  One DP serves every d >= 2;
-    the budget covers the whole report."""
+    the budget covers the whole report, and `nodes` is what it spent."""
+    tracker = _Budget(budget)
+    return replace(_report(g, tracker), nodes=tracker.spent)
+
+
+def _report(g: Graph, tracker: _Budget) -> BoxicityReport:
     if g.is_complete():
         return BoxicityReport(0, 0, 0, None, ("complete graph: boxicity 0",))
     notes: list[str] = []
     upper = roberts_upper_bound(g)
-    tracker = _Budget(budget)
     lower = d = 1
     try:
         witness = _interval_witness(g, tracker)

@@ -81,6 +81,7 @@ def cmd_analyze(args) -> int:
             "lower": rep.lower,
             "upper": rep.upper,
             "exact": rep.exact,
+            "nodes": rep.nodes,
             "notes": list(rep.notes),
         }
     if args.json:
@@ -100,7 +101,8 @@ def cmd_analyze(args) -> int:
     if "boxicity" in report:
         b = report["boxicity"]
         exact = b["exact"] if b["exact"] is not None else "undetermined"
-        print(f"boxicity: lower {b['lower']}, upper {b['upper']}, exact {exact}")
+        print(f"boxicity: lower {b['lower']}, upper {b['upper']}, exact {exact} "
+              f"({b['nodes']} nodes)")
         for note in b["notes"]:
             print(f"  - {note}")
     return 0
@@ -152,7 +154,7 @@ def cmd_boxicity(args) -> int:
         return 0 if decision.status != "inconclusive" else CHECK_FAILURE
     rep = boxicity_report(g, args.budget)
     exact = rep.exact if rep.exact is not None else "undetermined"
-    print(f"lower {rep.lower}, upper {rep.upper}, exact {exact}")
+    print(f"lower {rep.lower}, upper {rep.upper}, exact {exact} ({rep.nodes} nodes)")
     for note in rep.notes:
         print(f"  - {note}")
     return 0

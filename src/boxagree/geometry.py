@@ -10,16 +10,30 @@ Axis-parallel boxes have Helly number 2 (Danzer-Gruenbaum-Klee 1963): boxes
 that meet pairwise share a point.  So the depth of an arrangement is the
 clique number of its intersection graph, and f_k counts its (k+1)-cliques.
 
-Everything in this module is an immutable value and every operation is a pure
-function, so concurrent use needs no coordination.
+`intersection_graph` sweeps each axis once.  Endpoints are scaled to
+integers over the lcm of their denominators; the scale is positive, so the
+integers order exactly as the rationals do and no float is involved.  With
+the boxes sorted by lower and by upper endpoint, the boxes that meet box i
+on an axis are those with lo <= hi_i (a prefix of the lower order, found by
+binary search) that also have hi >= lo_i (a suffix of the upper order).  The
+graph is the AND of these rows over the axes: O(d n log n) integer
+comparisons plus n word-sized bitset ANDs per axis.
+
+Every value here is immutable.  An `Arrangement` builds its intersection
+graph on first use and keeps it (a `functools.cached_property`, outside
+equality, hashing and `repr`), so the invariants below share one build.
+Concurrent first uses may each build the graph; they build equal graphs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
-from .graphs import Graph, clique_number, count_cliques_of_size
+from .graphs import Graph, clique_counts, clique_number
 
 RationalLike = Fraction | int | str
 
@@ -147,6 +161,10 @@ class Arrangement:
             self.dimension, self.boxes[: i - 1] + self.boxes[i:]
         )
 
+    @cached_property
+    def _graph(self) -> Graph:
+        return _sweep(self)
+
 
 @dataclass(frozen=True)
 class FVector:
@@ -174,17 +192,40 @@ class FVector:
         return len(self.entries)
 
 
+def _integer_endpoints(sides) -> tuple[list[int], list[int]]:
+    """The sides' endpoints times the lcm of their denominators."""
+    scale = lcm(*(x.denominator for s in sides for x in (s.lo, s.hi)))
+    return ([s.lo.numerator * (scale // s.lo.denominator) for s in sides],
+            [s.hi.numerator * (scale // s.hi.denominator) for s in sides])
+
+
+def _sweep(arr: Arrangement) -> Graph:
+    n = arr.n
+    rows = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    for axis in range(arr.dimension):
+        lo, hi = _integer_endpoints([b.sides[axis] for b in arr.boxes])
+        by_lo = sorted(range(n), key=lo.__getitem__)
+        by_hi = sorted(range(n), key=hi.__getitem__)
+        los = [lo[i] for i in by_lo]
+        his = [hi[i] for i in by_hi]
+        prefix = [0]  # prefix[k]: the boxes by_lo[:k]
+        for i in by_lo:
+            prefix.append(prefix[-1] | 1 << i)
+        suffix = [0]  # suffix[k], once reversed: the boxes by_hi[k:]
+        for i in reversed(by_hi):
+            suffix.append(suffix[-1] | 1 << i)
+        suffix.reverse()
+        for i in range(n):
+            rows[i] &= prefix[bisect_right(los, hi[i])] & suffix[bisect_left(his, lo[i])]
+    return Graph.from_masks(n, rows)
+
+
 def intersection_graph(arr: Arrangement) -> Graph:
     """Graph on 1..n with an edge exactly where two boxes meet: closed boxes
-    meet iff on every axis each side starts no later than the other ends."""
-    sides = [[(s.lo, s.hi) for s in b.sides] for b in arr.boxes]
-    edges = [
-        (i + 1, j + 1)
-        for i, a in enumerate(sides)
-        for j in range(i + 1, arr.n)
-        if all(la <= hb and lb <= ha for (la, ha), (lb, hb) in zip(a, sides[j]))
-    ]
-    return Graph(arr.n, edges)
+    meet iff on every axis each side starts no later than the other ends.
+    Built once per arrangement by the sweep above; raises ValueError above
+    the graph's 64-vertex cap."""
+    return arr._graph
 
 
 def agreement_number(arr: Arrangement) -> int:
@@ -203,7 +244,5 @@ def f_vector(arr: Arrangement) -> FVector:
     """Exact intersection counts: by the Helly property, f_k is the number of
     (k+1)-cliques of the intersection graph, and 0 from k = omega on.  Raises
     ValueError above the graph's 64-vertex cap."""
-    g = intersection_graph(arr)
-    omega = clique_number(g)
-    counts = [count_cliques_of_size(g, s) for s in range(1, omega + 1)]
-    return FVector(tuple(counts) + (0,) * (arr.n - omega))
+    counts = clique_counts(intersection_graph(arr))
+    return FVector(tuple(counts) + (0,) * (arr.n - len(counts)))

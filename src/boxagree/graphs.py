@@ -21,8 +21,7 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges=()) -> None:
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        _check_order(n)
         adj = [0] * n
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
@@ -36,7 +35,9 @@ class Graph:
 
     @classmethod
     def from_masks(cls, n: int, masks) -> Graph:
-        """Trusted constructor from per-vertex bitsets (0-based bits)."""
+        """Trusted constructor from per-vertex bitsets (0-based bits); only
+        the vertex count is checked."""
+        _check_order(n)
         g = object.__new__(cls)
         g.n = n
         g._adj = tuple(masks)
@@ -116,6 +117,11 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 
 
+def _check_order(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 def _bits(mask: int):
     """0-based indices of the set bits, ascending."""
     while mask:
@@ -189,6 +195,17 @@ def has_clique_of_size(g: Graph, s: int, within: int | None = None) -> bool:
     return found
 
 
+def _is_clique(mask: int, adj: tuple[int, ...]) -> bool:
+    """Whether the vertices of `mask` are pairwise adjacent.  A candidate set
+    that is a clique needs no branching: its subsets are counted by binomials."""
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        if mask & ~adj[v]:
+            return False
+    return True
+
+
 def count_cliques_of_size(g: Graph, s: int) -> int:
     """Number of s-element vertex sets inducing complete subgraphs."""
     if not 1 <= s <= g.n:
@@ -204,14 +221,7 @@ def count_cliques_of_size(g: Graph, s: int) -> int:
         if depth == s:
             total += 1
             return
-        # a candidate set that is itself a clique needs no further branching
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if m & ~adj[v]:
-                break
-        else:
+        if _is_clique(cand, adj):
             total += math.comb(cand.bit_count(), s - depth)
             return
         c = cand
@@ -224,6 +234,31 @@ def count_cliques_of_size(g: Graph, s: int) -> int:
 
     extend((1 << g.n) - 1, 0)
     return total
+
+
+def clique_counts(g: Graph) -> list[int]:
+    """Entry s - 1 is the number of s-cliques, for s = 1..omega, all from
+    one traversal.  `count_cliques_of_size` prunes by its one size and
+    stays the faster way to ask for a single s."""
+    adj = g._adj
+    counts = [0] * (g.n + 1)  # counts[s]: the s-cliques
+
+    # each clique is reached once, extended by ascending vertex index
+    def extend(cand: int, depth: int) -> None:
+        if _is_clique(cand, adj):
+            c = cand.bit_count()
+            for j in range(1, c + 1):
+                counts[depth + j] += math.comb(c, j)
+            return
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            counts[depth + 1] += 1
+            extend(cand & adj[v], depth + 1)
+
+    extend((1 << g.n) - 1, 0)
+    omega = max(s for s, c in enumerate(counts) if c)
+    return counts[1:omega + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,19 @@ def random_graph(rng: Random, max_n: int = 10, p: float = 0.5) -> Graph:
     return Graph(n, edges)
 
 
+def pairwise_intersection_graph(arr: Arrangement) -> Graph:
+    """The intersection graph by comparing every pair of boxes: closed boxes
+    meet iff on every axis each side starts no later than the other ends."""
+    sides = [[(s.lo, s.hi) for s in b.sides] for b in arr.boxes]
+    edges = [
+        (i + 1, j + 1)
+        for i, a in enumerate(sides)
+        for j in range(i + 1, arr.n)
+        if all(la <= hb and lb <= ha for (la, ha), (lb, hb) in zip(a, sides[j]))
+    ]
+    return Graph(arr.n, edges)
+
+
 def brute_force_f_vector(arr: Arrangement) -> list[int]:
     """f_k by scanning every index subset and intersecting from scratch."""
     counts = [0] * arr.n

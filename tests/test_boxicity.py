@@ -167,6 +167,17 @@ def test_report_scans_once_for_every_d():
     assert intersection_graph(rep.witness) == fixtures.load("fig38c")
 
 
+def test_report_nodes_is_the_budget_it_spent():
+    g = fixtures.load("fig38c")
+    rep = boxicity_report(g)
+    # 1 for the interval test, 8 * 2^7 DP transitions, the rest in covers
+    assert rep.nodes > 1 + 8 * 2**7
+    assert boxicity_report(g, budget=rep.nodes) == rep
+    short = boxicity_report(g, budget=rep.nodes - 1)
+    assert short.exact is None and short.nodes < rep.nodes
+    assert boxicity_report(complete(5)).nodes == 0
+
+
 def test_masks_match_oracle_on_every_labelled_graph_up_to_six_vertices():
     for n in range(2, 7):
         pairs = list(combinations(range(1, n + 1), 2))

@@ -24,6 +24,7 @@ from helpers import (
     brute_force_depth,
     brute_force_f_vector,
     lower_endpoint_depth,
+    pairwise_intersection_graph,
     random_arrangement,
 )
 
@@ -117,6 +118,78 @@ def test_single_box_graph():
     assert g.edges() == ()
 
 
+def _sweep_case(rng: Random) -> Arrangement:
+    """Up to 64 boxes in up to 5 dimensions on a coarse grid of mixed
+    denominators, so endpoints are shared, and some sides (or whole boxes)
+    repeat or have zero width."""
+    d, n = rng.randint(1, 5), rng.randint(1, 64)
+
+    def coord() -> Fraction:
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
+
+    boxes: list[list[tuple[Fraction, Fraction]]] = []
+    for _ in range(n):
+        if boxes and rng.random() < 0.1:
+            boxes.append(list(rng.choice(boxes)))
+            continue
+        sides = []
+        for _ in range(d):
+            a = coord()
+            b = a if rng.random() < 0.15 else coord()
+            sides.append((min(a, b), max(a, b)))
+        boxes.append(sides)
+    return Arrangement.of(d, boxes)
+
+
+def test_sweep_matches_pairwise_oracle_random():
+    rng = Random(904)
+    for _ in range(1000):
+        arr = _sweep_case(rng)
+        g = intersection_graph(arr)
+        assert g._adj == pairwise_intersection_graph(arr)._adj, arr
+
+
+def test_sweep_touching_and_degenerate_sides():
+    arr = Arrangement.of(2, [
+        [(0, 1), (0, 1)],
+        [(1, 2), (1, 2)],        # touches box 1 at a corner
+        [("1/2", "1/2"), (-3, 5)],  # a zero-width slab through box 1
+        [("7/3", 3), (0, 2)],    # misses box 2 by 1/3 on the first axis
+        [(0, 1), (0, 1)],        # identical to box 1
+    ])
+    assert intersection_graph(arr).edges() == ((1, 2), (1, 3), (1, 5), (2, 5), (3, 5))
+
+
+# -- the cached graph ---------------------------------------------------------
+
+
+def test_graph_is_built_once_per_arrangement():
+    arr = fixtures.load("fig38a")
+    assert intersection_graph(arr) is intersection_graph(arr)
+
+
+def test_cached_graph_stays_out_of_equality_hash_and_repr():
+    specs = [[(0, 2), (0, 1)], [(1, 3), ("1/2", 4)], [(5, 6), (0, 1)]]
+    built, fresh = Arrangement.of(2, specs), Arrangement.of(2, specs)
+    before = repr(built)
+    intersection_graph(built)
+    assert built == fresh and hash(built) == hash(fresh)
+    assert repr(built) == before == repr(fresh)
+    intersection_graph(fresh)
+    assert built == fresh and hash(built) == hash(fresh)
+
+
+def test_dropped_box_graph_is_induced_subgraph():
+    rng = Random(905)
+    for _ in range(100):
+        arr = _sweep_case(rng)
+        if arr.n < 2:
+            continue
+        i = rng.randint(1, arr.n)
+        rest = [v for v in range(1, arr.n + 1) if v != i]
+        assert intersection_graph(arr.drop(i)) == intersection_graph(arr).induced(rest)
+
+
 # -- agreement number and proportion ---------------------------------------
 
 
@@ -137,7 +210,7 @@ def test_identical_boxes_agreement():
 
 def test_arrangement_invariants_cap_at_64_boxes():
     arr = Arrangement.of(1, [[(0, 1)]] * 65)
-    for invariant in (agreement_number, f_vector):
+    for invariant in (agreement_number, f_vector, intersection_graph):
         with pytest.raises(ValueError, match="vertex count"):
             invariant(arr)
 

@@ -1,3 +1,5 @@
+import math
+import time
 from random import Random
 
 import pytest
@@ -5,11 +7,14 @@ import pytest
 from boxagree import (
     Graph,
     are_isomorphic,
+    Arrangement,
     canonical_form,
+    clique_counts,
     clique_number,
     count_cliques_of_size,
     degree_profile,
     is_agreeable,
+    intersection_graph,
     is_interval_graph,
     interval_clique_order,
     strip_universal,
@@ -91,6 +96,32 @@ def test_count_cliques_random_against_oracle():
         g = random_graph(rng, max_n=8)
         for s in range(1, g.n + 1):
             assert count_cliques_of_size(g, s) == subset_clique_oracle(g, s)
+
+
+def test_count_cliques_prunes_by_size_on_cocktail_party():
+    # K_{2x32} has 3^32 cliques, so a traversal of all of them cannot finish;
+    # counting one size must stop at that size
+    g = Graph(64, [(u, v) for u in range(1, 65) for v in range(u + 1, 65) if v - u != 32])
+    start = time.perf_counter()
+    assert count_cliques_of_size(g, 2) == 1984
+    assert time.perf_counter() - start < 1.0
+
+
+def test_clique_counts_match_per_size_counts_and_oracle_random():
+    rng = Random(13)
+    for _ in range(60):
+        g = random_graph(rng, max_n=9, p=rng.random())
+        counts = clique_counts(g)
+        assert len(counts) == clique_number(g)
+        assert counts == [count_cliques_of_size(g, s) for s in range(1, len(counts) + 1)]
+        assert counts == [subset_clique_oracle(g, s) for s in range(1, len(counts) + 1)]
+
+
+def test_clique_counts_edgeless_complete_and_nested_boxes():
+    assert clique_counts(Graph(7)) == [7]
+    assert clique_counts(complete(12)) == [math.comb(12, s) for s in range(1, 13)]
+    nested = Arrangement.of(2, [[(i, 60 - i), (i, 60 - i)] for i in range(30)])
+    assert clique_counts(intersection_graph(nested)) == [math.comb(30, k + 1) for k in range(30)]
 
 
 def test_count_cliques_rejects_bad_size():
