@@ -7,10 +7,13 @@ interval matter, the complements of the minimal interval supergraphs of g.
 A graph is interval exactly when some vertex order has uv an edge whenever
 u < v < w and uw is one (Olariu 1991), so each minimal interval supergraph
 closes g under an order, and one DP over vertex subsets (Bodlaender et al.
-2012) finds them all, for every d at once.  A cover then picks at most d
-of them that separate every non-edge, and the clique orders of their axis
-graphs place the witness boxes.  At d = 1 the one axis separates every
-non-edge, so g itself is tested for being interval.
+2012) finds them all, for every d at once.  Every order of a placed set P
+turns the non-edges between two vertices with neighbours outside P into
+axis edges, so once one order of P adds no more than those, the DP closes
+P without looking at its other orders.  A cover then picks at most d of
+the maximal masks that together separate every non-edge, and the clique
+orders of their axis graphs place the witness boxes.  At d = 1 the one
+axis separates every non-edge, so g itself is tested for being interval.
 
 "No" comes only from a finished DP and cover; a budget too small for them
 yields "inconclusive".  Every "yes" carries a realizing arrangement whose
@@ -30,7 +33,8 @@ DEFAULT_BUDGET = 10**8
 
 
 class BudgetExhausted(Exception):
-    """Internal signal: the configured node budget ran out."""
+    """Internal signal: the configured node budget ran out; args[0] is the
+    charge it could not pay."""
 
 
 class _Budget:
@@ -42,7 +46,7 @@ class _Budget:
 
     def spend(self, k: int = 1) -> None:
         if k > self.remaining:
-            raise BudgetExhausted
+            raise BudgetExhausted(k)
         self.remaining -= k
         self.spent += k
 
@@ -123,43 +127,79 @@ def _minimal(sets) -> list[int]:
     return kept
 
 
+def _unions(masks: list[int]) -> list[int]:
+    """The OR of masks[i] over the bits i of x, at index x."""
+    table = [0]
+    for mask in masks:
+        table += [t | mask for t in table]
+    return table
+
+
 def _masks(g: Graph, tracker: _Budget) -> tuple[list[tuple[int, int]], list[int]]:
     """The non-edges in row order and, in descending order, every maximal
     mask over them whose axis graph (g plus the non-edges the mask does not
     separate) is interval.  Bit i of a mask is the i-th non-edge.
 
     Placing v after the set P adds the non-edges uv with u in P and N(u)
-    not inside P, so `layer` maps each P to the minimal sets its orders add.
-    Universal vertices add nothing and go first; the m others take
-    m 2^(m-1) transitions, paid for before the DP starts.
+    not inside P, so `layer` maps each P to the non-edges at its open
+    vertices (those with a neighbour outside P) and the minimal sets its
+    orders add, pulled from the sets P - v.  Every order of P adds
+    forced(P), the non-edges joining two open vertices: the earlier one
+    still has a neighbour to place when the later one is placed.  So once
+    some P - v yields a set equal to forced(P), that set is P's only
+    minimal one and the other P - v are skipped.  Universal vertices add
+    nothing and start placed; the m others visit at most m 2^(m-1) pairs
+    (P, v), paid for before the DP starts.
     """
     n, adj = g.n, g._adj
-    everyone = (1 << n) - 1
     non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not adj[u] >> v & 1]
-    sep = [0] * n  # sep[u]: the mask bits of the non-edges at u
+    low = [0] * n  # low[u] / high[u]: the mask bits of the non-edges uw with u < w / u > w
+    high = [0] * n
     for i, (u, v) in enumerate(non_edges):
-        sep[u] |= 1 << i
-        sep[v] |= 1 << i
-    others = [v for v in range(n) if sep[v]]
+        low[u] |= 1 << i
+        high[v] |= 1 << i
+    others = [v for v in range(n) if low[v] | high[v]]  # below, vertex j is others[j]
     m = len(others)
     tracker.spend(m << m - 1)
-    layer = {everyone ^ sum(1 << v for v in others): [0]}
+    nbrs = [sum(1 << j for j, w in enumerate(others) if adj[v] >> w & 1) for v in others]
+    low = [low[v] for v in others]
+    high = [high[v] for v in others]
+    sep = [a | b for a, b in zip(low, high)]
+    # unions over a vertex set x, read as the unions over x's two halves
+    h = m // 2
+    split = (1 << h) - 1
+    everyone = (1 << m) - 1
+    nbrs0, nbrs1 = _unions(nbrs[:h]), _unions(nbrs[h:])
+    low0, low1 = _unions(low[:h]), _unions(low[h:])
+    high0, high1 = _unions(high[:h]), _unions(high[h:])
+    layer = {0: (0, [0])}
     for _ in range(m):
-        nxt: dict[int, list[int]] = {}
-        for placed, added in layer.items():
-            pending = 0  # the non-edges at placed vertices with a neighbour to place
-            free = []
-            for u in others:
-                if not placed >> u & 1:
-                    free.append(u)
-                elif adj[u] & ~placed:
-                    pending |= sep[u]
-            for v in free:
-                extra = pending & sep[v]
-                nxt.setdefault(placed | 1 << v, []).extend([a | extra for a in added])
-        layer = {placed: _minimal(found) for placed, found in nxt.items()}
+        nxt: dict[int, tuple[int, list[int]]] = {}
+        for base in layer:
+            for top in range(base.bit_length(), m):  # each P once, as base + its top vertex
+                placed = base | 1 << top
+                rest = everyone ^ placed
+                open_ = placed & (nbrs0[rest & split] | nbrs1[rest >> h])
+                lo = low0[open_ & split] | low1[open_ >> h]
+                hi = high0[open_ & split] | high1[open_ >> h]
+                forced = lo & hi
+                found: list[int] = []
+                left = placed
+                while left:
+                    bit = left & -left
+                    left ^= bit
+                    pending, added = layer[placed ^ bit]
+                    extra = pending & sep[bit.bit_length() - 1]
+                    if added[0] | extra == forced:  # no order of P adds less
+                        found = [forced]
+                        break
+                    found += [a | extra for a in added]
+                else:
+                    found = _minimal(found)
+                nxt[placed] = (lo | hi, found)
+        layer = nxt
     full = (1 << len(non_edges)) - 1
-    return non_edges, sorted((full ^ a for a in layer[everyone]), reverse=True)
+    return non_edges, sorted((full ^ a for a in layer[everyone][1]), reverse=True)
 
 
 def _cover(g: Graph, d: int, non_edges: list[tuple[int, int]], masks: list[int],
@@ -227,7 +267,8 @@ def _report(g: Graph, tracker: _Budget) -> BoxicityReport:
         return BoxicityReport(0, 0, 0, None, ("complete graph: boxicity 0",))
     notes: list[str] = []
     upper = roberts_upper_bound(g)
-    lower = d = 1
+    lower = 1
+    phase = "the d = 1 interval test"
     try:
         witness = _interval_witness(g, tracker)
         if witness is not None:
@@ -245,9 +286,10 @@ def _report(g: Graph, tracker: _Budget) -> BoxicityReport:
         if lower >= upper:
             notes.append("bounds meet: exact without search")
             return BoxicityReport(lower, upper, upper, None, tuple(notes))
-        d = lower
+        phase = "the vertex-order DP, which needs {:,} nodes"  # the unpaid charge
         masks = _masks(g, tracker)
         for d in range(lower, upper + 1):
+            phase = f"the cover for d = {d}"
             witness = _cover(g, d, *masks, tracker)
             if witness is not None:
                 notes.append(f"search realized the graph with {d}-boxes")
@@ -257,8 +299,8 @@ def _report(g: Graph, tracker: _Budget) -> BoxicityReport:
             if lower == upper:
                 notes.append("bounds meet: exact without further search")
                 return BoxicityReport(lower, upper, upper, None, tuple(notes))
-    except BudgetExhausted:
-        notes.append(f"budget exhausted while deciding boxicity <= {d}")
+    except BudgetExhausted as short:
+        notes.append("budget exhausted in " + phase.format(short.args[0]))
         return BoxicityReport(lower, upper, None, None, tuple(notes))
     # unreachable: the roberts bound always admits a realization
     return BoxicityReport(lower, upper, None, None, tuple(notes))  # pragma: no cover

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .geometry import Arrangement
+from .geometry import Arrangement, Box, RationalInterval
 from .graphs import Graph
 
 
@@ -67,7 +67,7 @@ def parse_arrangement(text: str) -> Arrangement:
     boxes = payload["boxes"]
     if not isinstance(boxes, list) or not boxes:
         raise FormatError("'boxes' must be a non-empty list")
-    specs = []
+    parsed = []
     for i, box in enumerate(boxes, start=1):
         if not isinstance(box, list) or len(box) != dim:
             raise FormatError(f"box {i} must list exactly {dim} [lo, hi] pairs")
@@ -77,11 +77,12 @@ def parse_arrangement(text: str) -> Arrangement:
                 raise FormatError(f"box {i}: each side must be a [lo, hi] pair")
             lo = _rational_from_json(pair[0])
             hi = _rational_from_json(pair[1])
-            if lo > hi:
-                raise FormatError(f"box {i}: empty side [{lo}, {hi}]")
-            sides.append((lo, hi))
-        specs.append(sides)
-    return Arrangement.of(dim, specs)
+            try:
+                sides.append(RationalInterval(lo, hi))
+            except ValueError:
+                raise FormatError(f"box {i}: empty side [{lo}, {hi}]") from None
+        parsed.append(Box(tuple(sides)))
+    return Arrangement(dim, tuple(parsed))
 
 
 def serialize_graph(g: Graph) -> str:

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -19,6 +19,7 @@ from boxagree.boxicity import DEFAULT_BUDGET, _Budget, _masks
 from helpers import (
     complete,
     cycle,
+    layered_masks_oracle,
     maximal_interval_masks_oracle,
     minimal_interval_supergraphs_oracle,
     path,
@@ -210,13 +211,95 @@ def test_masks_match_scan_oracle_on_fixtures_and_seeded_graphs():
         assert _masks(g, _Budget(DEFAULT_BUDGET))[1] == maximal_interval_masks_oracle(g), g
 
 
+def test_masks_match_layered_oracle_at_bench_scale():
+    # the scan oracle stops near 16 non-edges; the push DP reaches the
+    # 10-12 vertex, 10-20 non-edge graphs the decisions meet in practice
+    graphs = [fixtures.load("fig134"), fixtures.k_partite(5), fixtures.k_partite(6)]
+    rng = Random(2718)
+    while len(graphs) < 3 + 40:
+        n = rng.randint(10, 12)
+        pairs = list(combinations(range(1, n + 1), 2))
+        missing = set(rng.sample(pairs, rng.randint(10, 20)))
+        graphs.append(Graph(n, [p for p in pairs if p not in missing]))
+    for g in graphs:
+        assert _masks(g, _Budget(DEFAULT_BUDGET))[1] == layered_masks_oracle(g), g
+
+
+def _olariu_added(nbrs, order):
+    """The non-edges uv, u before v in `order`, where u has a neighbour w
+    after v or outside `order`: u < v < w with uw an edge makes uv one."""
+    pos = {v: i for i, v in enumerate(order)}
+    return {
+        frozenset((u, v))
+        for i, u in enumerate(order) for v in order[i + 1:]
+        if v not in nbrs[u] and any(pos.get(w, len(order)) > pos[v] for w in nbrs[u])
+    }
+
+
+def _forced(nbrs, placed, open_ends):
+    """The non-edges inside `placed` with at least `open_ends` endpoints
+    that have a neighbour outside `placed`."""
+    open_ = {u for u in placed if not nbrs[u] <= placed}
+    return {frozenset((u, v)) for u, v in combinations(sorted(placed), 2)
+            if v not in nbrs[u] and len({u, v} & open_) >= open_ends}
+
+
+def test_every_order_of_a_placed_set_adds_its_forced_set():
+    graphs = []
+    for n in range(2, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        graphs += [Graph(n, [p for i, p in enumerate(pairs) if e >> i & 1])
+                   for e in range(1 << len(pairs))]
+    rng = Random(1991)
+    for _ in range(8):
+        n = rng.randint(6, 7)
+        graphs.append(Graph(n, [p for p in combinations(range(1, n + 1), 2)
+                                if rng.random() < 0.6]))
+    one_open_end_fails = False
+    for g in graphs:
+        nbrs = {v: g.neighbors(v) for v in range(1, g.n + 1)}
+        for k in range(2, g.n + 1):
+            for placed in map(set, combinations(nbrs, k)):
+                forced, weaker = _forced(nbrs, placed, 2), _forced(nbrs, placed, 1)
+                if not weaker:  # forced is inside weaker, so both hold trivially
+                    continue
+                for order in permutations(sorted(placed)):
+                    added = _olariu_added(nbrs, order)
+                    assert forced <= added, (g, order)
+                    one_open_end_fails |= not weaker <= added
+    # the control: one open endpoint is not enough (a u whose neighbours all
+    # lie in the placed set need not add uv when it comes first), and the
+    # check above is strong enough to see that
+    assert one_open_end_fails
+
+
 def test_fig134_has_boxicity_four():
     g = fixtures.load("fig134")
-    assert decide_boxicity_leq(g, 3).status == "no"
+    no3 = decide_boxicity_leq(g, 3)
+    assert (no3.status, no3.nodes) == ("no", 57617)
+    assert decide_boxicity_leq(g, 4).nodes == 53255
     rep = boxicity_report(g)
     assert rep.exact == 4
+    assert rep.nodes == 57898
     assert rep.witness.dimension == 4
     assert intersection_graph(rep.witness) == g
+
+
+def test_inconclusive_report_names_the_phase_that_spent_the_budget():
+    # fig38c: 1 node for the d = 1 test, 8 * 2^7 = 1,024 DP transitions,
+    # 16 nodes in the d = 2 cover and 5 in the d = 3 one
+    g = fixtures.load("fig38c")
+    assert boxicity_report(g).nodes == 1 + 1024 + 16 + 5
+    cases = {
+        0: "budget exhausted in the d = 1 interval test",
+        500: "budget exhausted in the vertex-order DP, which needs 1,024 nodes",
+        1030: "budget exhausted in the cover for d = 2",
+        1045: "budget exhausted in the cover for d = 3",
+    }
+    for budget, note in cases.items():
+        rep = boxicity_report(g, budget=budget)
+        assert rep.exact is None
+        assert rep.notes[-1] == note
 
 
 def test_report_bounds_sandwich_random():
