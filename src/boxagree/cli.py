@@ -14,10 +14,10 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import fixtures, formats, verify
-from .boxicity import boxicity_report, decide_boxicity_leq
+from .boxicity import DEFAULT_BUDGET, boxicity_report, decide_boxicity_leq
 from .geometry import Arrangement, f_vector, intersection_graph
 from .graphs import Graph, clique_number, degree_profile, is_agreeable
-from .search import confirm_eta, default_eta_table, enumerate_agreeable, eta_upper
+from .search import default_eta_table, enumerate_agreeable
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -118,25 +118,22 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_search_eta(args) -> int:
-    table = default_eta_table()
     if args.r is not None:
-        if args.r <= 4:
-            entry = confirm_eta(args.r)
+        table = default_eta_table()
+        if not 1 <= args.r <= table.top + 1:
+            return _usage(f"eta is only tabulated for r in 1..{table.top + 1}")
+        entry = table.entry(args.r)
+        if entry.confirmed is not None:
             print(f"eta({args.r}) = {entry.confirmed}")
-            if entry.impossibility:
-                print(f"  upper bound rule: {entry.impossibility.detail}")
-            if entry.witness:
-                print(f"  witness: {entry.witness!r}")
-        elif args.r == 5:
-            upper, cert = eta_upper(5, table)
-            print(f"eta(5) <= {upper}")
-            print(f"  rule: {cert.detail}")
+            print(f"  upper bound rule: {entry.impossibility.detail}")
+            print(f"  witness: {entry.witness!r}")
         else:
-            return _usage("eta is only tabulated for r <= 5")
+            print(f"eta({args.r}) <= {entry.upper_bound}")
+            print(f"  rule: {entry.impossibility.detail}")
         return 0
-    print(verify.format_eta_table(table))
+    print(verify.format_eta_table())
     for n, r in ((6, 2), (9, 3)):
-        cert = enumerate_agreeable(n, r, table)
+        cert = enumerate_agreeable(n, r)
         print(f"exhaustion n={n}, omega<={r}: {len(cert.survivors)} graphs "
               f"({cert.graphs_examined} examined)")
     return 0
@@ -161,7 +158,7 @@ def cmd_boxicity(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    results = verify.run_paper_checks(args.budget)
+    results = verify.run_paper_checks()
     failures = 0
     for res in results:
         mark = "ok  " if res.ok else "FAIL"
@@ -210,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="path or fixture name")
     p.add_argument("--json", action="store_true", help="structured output")
     p.add_argument("--boxicity", action="store_true", help="include a boxicity report")
-    p.add_argument("--boxicity-budget", type=int, default=10**8, metavar="N")
+    p.add_argument("--boxicity-budget", type=int, default=DEFAULT_BUDGET, metavar="N")
     p.add_argument("--as-arrangement", action="store_true",
                    help="fail unless the source is an arrangement")
     p.set_defaults(func=cmd_analyze)
@@ -227,11 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="graph file or fixture name")
     p.add_argument("--decide", type=int, default=None, metavar="D",
                    help="decide boxicity <= D exactly")
-    p.add_argument("--budget", type=int, default=10**8, metavar="N")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N")
     p.set_defaults(func=cmd_boxicity)
 
     p = sub.add_parser("verify-paper", help="run the full reproduction suite")
-    p.add_argument("--budget", type=int, default=10**8, metavar="N")
     p.set_defaults(func=cmd_verify_paper)
 
     p = sub.add_parser("fixtures", help="list or dump built-in fixtures")

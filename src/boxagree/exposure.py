@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Arrangement, Box, FVector, f_vector, intersect_boxes
-from .search import EtaTable
+from .search import default_eta_table
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,17 @@ def verify_split_identity(arr: Arrangement, k: int) -> bool:
     return whole.f(k) == f_vector(rest).f(k) + partial.f(k - 1)
 
 
-def e_upper_recurrence(n: int, r: int, d: int, table: EtaTable) -> int:
+def e_upper_recurrence(n: int, r: int, d: int) -> int:
     """Edge-count upper bound from unrolling e(n) <= e(n-1) + eta(r-1, d-1)
     down to the r-clique base case: C(r,2) + (n-r) * eta(r-1, d-1).
 
-    The table supplies eta(r-1, d-1) exactly for d-1 in {0, 1} and falls
+    The eta table supplies eta(r-1, d-1) exactly for d-1 in {0, 1} and falls
     back to the dimension-free value (or its upper bound) otherwise; a
     MissingEtaError names any entry it cannot provide.
     """
     if not (n >= r >= 2 and d >= 1):
         raise ValueError(f"need n >= r >= 2 and d >= 1, got n={n}, r={r}, d={d}")
-    return math.comb(r, 2) + (n - r) * table.eta_dim(r - 1, d - 1)
+    return math.comb(r, 2) + (n - r) * default_eta_table().eta_dim(r - 1, d - 1)
 
 
 def e_upper_closed(n: int, r: int, d: int, gamma_prev: float | Fraction):

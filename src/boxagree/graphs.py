@@ -171,28 +171,35 @@ def clique_number(g: Graph) -> int:
     return _max_clique_size(g.n, g._adj)
 
 
+def _cliques_within(adj: tuple[int, ...], cand: int, floor: int, ceiling: int, hit=()):
+    """Every clique of `floor` to `ceiling` (at least 1) vertices inside the
+    bitset `cand` that meets every bitset in `hit`, each once, as a bitset;
+    grown by ascending vertex index.  A branch stops as soon as some bitset
+    in `hit` lies outside what it can still add."""
+    if floor <= 0 and not hit:
+        yield 0
+    while cand and cand.bit_count() >= floor:
+        if any(not h & cand for h in hit):
+            return
+        low = cand & -cand
+        cand ^= low
+        rest = [h for h in hit if not h & low]
+        if ceiling == 1:
+            if floor <= 1 and not rest:
+                yield low
+            continue
+        for clique in _cliques_within(
+            adj, cand & adj[low.bit_length() - 1], floor - 1, ceiling - 1, rest
+        ):
+            yield clique | low
+
+
 def has_clique_of_size(g: Graph, s: int, within: int | None = None) -> bool:
     """True iff some s-clique exists (restricted to the `within` bitset if given)."""
     if s <= 0:
         return True
-    adj = g._adj
-    start = (1 << g.n) - 1 if within is None else within
-    found = False
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal found
-        if found or size + cand.bit_count() < s:
-            return
-        if size == s:
-            found = True
-            return
-        while cand and not found:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(cand & adj[v], size + 1)
-
-    expand(start, 0)
-    return found
+    cand = (1 << g.n) - 1 if within is None else within
+    return next(_cliques_within(g._adj, cand, s, s), None) is not None
 
 
 def _is_clique(mask: int, adj: tuple[int, ...]) -> bool:

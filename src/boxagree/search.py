@@ -1,6 +1,12 @@
 """Exhaustive, isomorphism-free enumeration of (2,3)-agreeable graphs with
 bounded clique number, and the table of maximal sizes eta(r) it certifies.
 
+The complement of such a graph is triangle-free (it has no independent
+triple) with independence number at most r, so eta(r) = R(3, r+1) - 1 for
+the Ramsey number R(3, r+1); `eta_upper` is the Greenwood-Gleason degree
+bound on it, and `default_eta_table` confirms eta(r) wherever a registered
+witness meets that bound.
+
 The enumerator grows graphs one vertex at a time by canonical augmentation,
 so each level holds exactly one graph per isomorphism class and no two
 graphs are ever compared.  A new vertex attaches to the complement of a
@@ -17,13 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import fixtures
-from .boxicity import DEFAULT_BUDGET, decide_boxicity_leq, roberts_upper_bound
+from .boxicity import adiga_lower_bound, decide_boxicity_leq, roberts_upper_bound
 from .graphs import (
     Graph,
     _bits,
     _canonical_labelling,
+    _cliques_within,
     _orbit_roots,
     canonical_form,
     clique_number,
@@ -63,12 +71,12 @@ class EtaEntry:
 
 
 class EtaTable:
-    """Per-r record of confirmed values / upper bounds for eta(r)."""
+    """Read-only per-r record of eta(r): confirmed for r = 0..`top`, and
+    only bracketed by the degree rule at r = `top` + 1."""
 
-    def __init__(self) -> None:
-        self._entries: dict[int, EtaEntry] = {
-            0: EtaEntry(confirmed=0, upper_bound=0, witness=None, impossibility=None)
-        }
+    def __init__(self, entries: dict[int, EtaEntry]) -> None:
+        self._entries = dict(entries)
+        self.top = max(r for r, e in self._entries.items() if e.confirmed is not None)
 
     def entry(self, r: int) -> EtaEntry:
         if r not in self._entries:
@@ -100,24 +108,9 @@ class EtaTable:
             return 2 * r
         return self.best_upper(r)
 
-    def _set(self, r: int, entry: EtaEntry) -> None:
-        self._entries[r] = entry
 
-    def known(self) -> dict[int, EtaEntry]:
-        return dict(self._entries)
-
-
-def eta_upper(r: int, table: EtaTable) -> tuple[int, EtaUpperCertificate]:
-    """Largest n not excluded by the degree bounds, with its certificate.
-
-    At n the minimum degree must reach n - r - 1 while no degree may exceed
-    eta(r-1).  The bounds cross for n > eta(r-1) + r + 1; at the borderline
-    n the graph would be forced eta(r-1)-regular, which parity kills when
-    n * eta(r-1) is odd.
-    """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    prev = table.confirmed(r - 1)
+def _degree_bound(r: int, prev: int) -> tuple[int, EtaUpperCertificate]:
+    """`eta_upper` given prev = eta(r-1)."""
     borderline = prev + r + 1
     if (borderline * prev) % 2 == 1:
         cert = EtaUpperCertificate(
@@ -134,63 +127,64 @@ def eta_upper(r: int, table: EtaTable) -> tuple[int, EtaUpperCertificate]:
     return borderline, cert
 
 
-def _witness_for(r: int) -> Graph | None:
-    if r == 1:
-        return Graph(2)
-    if r == 2:
-        return Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    if r == 3:
-        return fixtures.expected_graph("fig38a")
-    if r == 4:
-        return fixtures.expected_graph("fig134")
-    return None
+def eta_upper(r: int) -> tuple[int, EtaUpperCertificate]:
+    """Largest n not excluded by the degree bounds, with its certificate:
+    the Greenwood-Gleason bound (1955) R(3, r+1) <= R(3, r) + r + 1 with
+    its parity step, read through eta(r) = R(3, r+1) - 1.
+
+    A vertex's non-neighbours form a clique, so the minimum degree is at
+    least n - r - 1; its neighbourhood is agreeable with clique number at
+    most r - 1, so no degree exceeds eta(r-1).  The bounds cross for
+    n > eta(r-1) + r + 1; at the borderline n the graph would be forced
+    eta(r-1)-regular, which parity kills when n * eta(r-1) is odd.
+    """
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    return _degree_bound(r, default_eta_table().confirmed(r - 1))
 
 
-def confirm_eta(r: int, table: EtaTable | None = None) -> EtaEntry:
-    """Confirmed eta(r) for r <= 4: the rule-based upper bound met by a
-    registered witness graph, re-validated for agreeability and clique
-    number at load."""
-    if not 1 <= r <= 4:
-        raise ValueError(f"confirm_eta covers r in 1..4, got {r}")
-    if table is None:
-        table = EtaTable()
-    for rr in range(1, r + 1):
-        try:
-            entry = table.entry(rr)
-            if entry.confirmed is not None:
-                continue
-        except MissingEtaError:
-            pass
-        upper, cert = eta_upper(rr, table)
-        witness = _witness_for(rr)
-        if witness is None:  # pragma: no cover - registry covers 1..4
-            raise MissingEtaError(f"witness for eta({rr})")
+def _witnesses() -> list[Graph]:
+    """Entry r - 1 is a graph on eta(r) vertices with clique number r: two
+    isolated vertices, the 5-cycle, and the `fig38a` and `fig134` fixtures."""
+    return [
+        Graph(2),
+        Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+        fixtures.expected_graph("fig38a"),
+        fixtures.expected_graph("fig134"),
+    ]
+
+
+@cache
+def default_eta_table() -> EtaTable:
+    """eta(r) for every r with a registered witness, each the degree bound
+    met by its witness, re-validated for agreeability and clique number at
+    build; the next r is bracketed by the degree bound alone."""
+    entries = {0: EtaEntry(confirmed=0, upper_bound=0, witness=None, impossibility=None)}
+    for r, witness in enumerate(_witnesses(), start=1):
+        upper, cert = _degree_bound(r, entries[r - 1].confirmed)
         if witness.n != upper:
             raise RuntimeError(
-                f"registered witness for eta({rr}) has {witness.n} vertices, "
+                f"registered witness for eta({r}) has {witness.n} vertices, "
                 f"upper bound is {upper}"
             )
         if not is_agreeable(witness, 2, 3):
-            raise RuntimeError(f"registered witness for eta({rr}) is not (2,3)-agreeable")
-        if clique_number(witness) > rr:
-            raise RuntimeError(f"registered witness for eta({rr}) has clique number > {rr}")
-        table._set(rr, EtaEntry(upper, upper, witness, cert))
+            raise RuntimeError(f"registered witness for eta({r}) is not (2,3)-agreeable")
+        if clique_number(witness) > r:
+            raise RuntimeError(f"registered witness for eta({r}) has clique number > {r}")
+        entries[r] = EtaEntry(upper, upper, witness, cert)
+    r = len(entries)
+    upper, cert = _degree_bound(r, entries[r - 1].confirmed)
+    entries[r] = EtaEntry(None, upper, None, cert)
+    return EtaTable(entries)
+
+
+def confirm_eta(r: int) -> EtaEntry:
+    """The confirmed entry of eta(r), r >= 1: its degree bound met by a
+    registered witness graph."""
+    table = default_eta_table()
+    if not 1 <= r <= table.top:
+        raise ValueError(f"confirm_eta covers r in 1..{table.top}, got {r}")
     return table.entry(r)
-
-
-_DEFAULT_TABLE: EtaTable | None = None
-
-
-def default_eta_table() -> EtaTable:
-    """eta confirmed for r <= 4, plus the parity upper bound 18 at r = 5."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        table = EtaTable()
-        confirm_eta(4, table)
-        upper, cert = eta_upper(5, table)
-        table._set(5, EtaEntry(None, upper, None, cert))
-        _DEFAULT_TABLE = table
-    return _DEFAULT_TABLE
 
 
 @dataclass(frozen=True)
@@ -201,29 +195,6 @@ class SearchCertificate:
     survivors: tuple[Graph, ...]
     pruning: dict[str, int]
     level_sizes: tuple[int, ...]  # isomorphism classes on 1..n vertices
-
-
-def _cliques_within(adj: tuple[int, ...], cand: int, floor: int, ceiling: int, hit=()):
-    """Every clique of `floor` to `ceiling` (at least 1) vertices inside the
-    bitset `cand` that meets every bitset in `hit`, each once, as a bitset;
-    grown by ascending vertex index.  A branch stops as soon as some bitset
-    in `hit` lies outside what it can still add."""
-    if floor <= 0 and not hit:
-        yield 0
-    while cand and cand.bit_count() >= floor:
-        if any(not h & cand for h in hit):
-            return
-        low = cand & -cand
-        cand ^= low
-        rest = [h for h in hit if not h & low]
-        if ceiling == 1:
-            if floor <= 1 and not rest:
-                yield low
-            continue
-        for clique in _cliques_within(
-            adj, cand & adj[low.bit_length() - 1], floor - 1, ceiling - 1, rest
-        ):
-            yield clique | low
 
 
 def _set_orbit_min(s: int, generators, known: dict[int, int]) -> int:
@@ -248,7 +219,7 @@ def _set_orbit_min(s: int, generators, known: dict[int, int]) -> int:
     return least
 
 
-def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> SearchCertificate:
+def enumerate_agreeable(n: int, r: int) -> SearchCertificate:
     """All (2,3)-agreeable graphs on n vertices with clique number <= r, up
     to isomorphism.
 
@@ -282,23 +253,21 @@ def enumerate_agreeable(n: int, r: int, table: EtaTable | None = None) -> Search
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n, r >= 1, got n={n}, r={r}")
-    if table is None:
-        table = default_eta_table()
     work = {"examined": 0, "orbit": 0, "not_canonical": 0}
     sizes = []
-    for level in _levels(n, r, table, work):
+    for level in _levels(n, r, work):
         sizes.append(len(level))
     examined = work.pop("examined")
     survivors = tuple(sorted(_survivors(n, r, level), key=canonical_form))
     return SearchCertificate(n, r, examined, survivors, work, tuple(sizes))
 
 
-def _levels(n: int, r: int, table: EtaTable, work: dict[str, int]):
+def _levels(n: int, r: int, work: dict[str, int]):
     """Yield the levels k = 1..n of the canonical augmentation in
     `enumerate_agreeable`, each a list of (adjacency rows, automorphism
     generators or None until labelled), one per isomorphism class.  `work`
     counts the attachments "examined" and those pruned by each rule."""
-    degree_cap = table.best_upper(r - 1)
+    degree_cap = default_eta_table().best_upper(r - 1)
     level: list[tuple[tuple[int, ...], list | None]] = [((0,), [])]  # one vertex
     yield level
     for k in range(1, n):
@@ -370,26 +339,21 @@ class ProportionResult:
     dimension_cap: int | None
 
 
-def _box_at_most(g: Graph, d: int, budget: int) -> bool:
-    """Exact box(g) <= d with the cheap certain routes tried first."""
+def _box_at_most(g: Graph, d: int) -> bool:
+    """Exact box(g) <= d with the cheap certain routes tried first.  For
+    r <= 4 the graphs have at most 13 vertices, so the DP charges at most
+    13 * 2^12 = 53,248 nodes and an "inconclusive" breaks an invariant."""
     if roberts_upper_bound(g) <= d:
         return True
     if is_interval_graph(g):
         return True
-    decision = decide_boxicity_leq(g, d, budget)
+    decision = decide_boxicity_leq(g, d)
     if decision.status == "inconclusive":
-        raise RuntimeError(
-            f"boxicity of {g!r} undecided within budget; cannot filter"
-        )
+        raise RuntimeError(f"boxicity of {g!r} undecided within the default budget")
     return decision.status == "yes"
 
 
-def min_agreement_proportion(
-    r: int,
-    d_constraint: int | None = None,
-    table: EtaTable | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> ProportionResult:
+def min_agreement_proportion(r: int, d_constraint: int | None = None) -> ProportionResult:
     """Minimum of omega/n over all (2,3)-agreeable graphs with clique number
     at most r (and boxicity at most d_constraint when given), together with
     the graphs attaining it.
@@ -402,63 +366,45 @@ def min_agreement_proportion(
         raise ValueError(f"need r >= 1, got {r}")
     if d_constraint is not None and d_constraint < 1:
         raise ValueError(f"need d_constraint >= 1, got {d_constraint}")
-    if r > 4:
-        raise ValueError("minima are limited to r <= 4")
-    if table is None:
-        table = default_eta_table()
-    n_max = table.confirmed(r)
+    table = default_eta_table()
+    if r > table.top:
+        raise ValueError(f"minima are limited to r <= {table.top}")
     best: Fraction | None = None
     minimizers: list[Graph] = []
-    undecided: list[Graph] = []
     work = {"examined": 0, "orbit": 0, "not_canonical": 0}
-    for n, level in enumerate(_levels(n_max, r, table, work), start=1):
+    for n, level in enumerate(_levels(table.confirmed(r), r, work), start=1):
         for g in _survivors(n, r, level):
-            if d_constraint is not None:
-                try:
-                    if not _box_at_most(g, d_constraint, budget):
-                        continue
-                except RuntimeError:
-                    undecided.append(g)
-                    continue
+            if d_constraint is not None and not _box_at_most(g, d_constraint):
+                continue
             prop = Fraction(clique_number(g), n)
             if best is None or prop < best:
                 best = prop
                 minimizers = [g]
             elif prop == best:
                 minimizers.append(g)
-    if undecided:
-        raise RuntimeError(
-            f"boxicity undecided within budget for {len(undecided)} graphs: "
-            + "; ".join(repr(g) for g in undecided)
-        )
     if best is None:  # pragma: no cover - K1 always qualifies
         raise RuntimeError("no graphs enumerated")
     minimizers.sort(key=lambda g: (g.n, canonical_form(g)))
     return ProportionResult(best, tuple(minimizers), d_constraint)
 
 
-def verify_main_theorem(
-    d: int,
-    r: int,
-    table: EtaTable | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
+def verify_main_theorem(d: int, r: int) -> bool:
     """Check the 1/(2d) bound on the computed minimum and re-run the proof
     chain on every minimizer: no universal vertices, the boxicity lower
     bound n/(2(n - delta - 1)) <= d, and omega >= n - delta - 1."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    result = min_agreement_proportion(r, d, table, budget)
+    result = min_agreement_proportion(r, d)
     if result.value < Fraction(1, 2 * d):
         return False
     for g in result.minimizers:
+        if g.n < 2:
+            continue
         degs = g.degrees()
-        if g.n >= 2 and any(deg == g.n - 1 for deg in degs):
+        if any(deg == g.n - 1 for deg in degs):
             return False
-        if g.n >= 2:
-            delta = min(degs)
-            if Fraction(g.n, 2 * (g.n - delta - 1)) > d:
-                return False
-            if clique_number(g) < g.n - delta - 1:
-                return False
+        if adiga_lower_bound(g) > d:
+            return False
+        if clique_number(g) < g.n - min(degs) - 1:
+            return False
     return True

@@ -72,9 +72,8 @@ def _check(results: list[CheckResult], name: str, ok: bool, detail: str) -> None
     results.append(CheckResult(name, bool(ok), detail))
 
 
-def run_paper_checks(boxicity_budget: int = 10**8) -> list[CheckResult]:
+def run_paper_checks() -> list[CheckResult]:
     results: list[CheckResult] = []
-    table = default_eta_table()
 
     # --- fixture reproduction -------------------------------------------
     z5 = fixtures.load("z5")
@@ -162,7 +161,7 @@ def run_paper_checks(boxicity_budget: int = 10**8) -> list[CheckResult]:
         entry = confirm_eta(r)
         ok_eta = ok_eta and entry.confirmed == expected
         eta_line.append(f"eta({r})={entry.confirmed} (expected {expected})")
-    upper5, cert5 = eta_upper(5, table)
+    upper5, cert5 = eta_upper(5)
     ok_eta = ok_eta and upper5 == 18 and cert5.rule == "parity"
     eta_line.append(f"eta(5)<={upper5} via {cert5.rule} at n={cert5.excluded_n}")
     _check(results, "eta table", ok_eta, "; ".join(eta_line))
@@ -205,25 +204,25 @@ def run_paper_checks(boxicity_budget: int = 10**8) -> list[CheckResult]:
            "1/(2d) >= iterated bound for d = 1..20")
 
     # --- boxicity --------------------------------------------------------
-    d38a = decide_boxicity_leq(fixtures.expected_graph("fig38a"), 2, boxicity_budget)
+    d38a = decide_boxicity_leq(fixtures.expected_graph("fig38a"), 2)
     _check(results, "fig38a boxicity 2",
            d38a.status == "yes" and d38a.witness is not None
            and intersection_graph(d38a.witness) == fixtures.expected_graph("fig38a"),
            f"status {d38a.status}")
-    d38b = decide_boxicity_leq(fixtures.expected_graph("fig38b"), 2, boxicity_budget)
+    d38b = decide_boxicity_leq(fixtures.expected_graph("fig38b"), 2)
     _check(results, "fig38b boxicity 2",
            d38b.status == "yes" and d38b.witness is not None
            and intersection_graph(d38b.witness) == fixtures.expected_graph("fig38b"),
            f"status {d38b.status}")
     k32 = fixtures.k_partite(3)
-    no2 = decide_boxicity_leq(k32, 2, boxicity_budget)
-    yes3 = decide_boxicity_leq(k32, 3, boxicity_budget)
+    no2 = decide_boxicity_leq(k32, 2)
+    yes3 = decide_boxicity_leq(k32, 3)
     _check(results, "k_partite 3 boxicity 3",
            no2.status == "no" and yes3.status == "yes"
            and adiga_lower_bound(k32) == 3,
            f"d=2 {no2.status}, d=3 {yes3.status}")
     k42 = fixtures.k_partite(4)
-    rep42 = boxicity_report(k42, boxicity_budget)
+    rep42 = boxicity_report(k42)
     _check(results, "k_partite 4 boxicity 4",
            rep42.exact == 4 and roberts_upper_bound(k42) == 4
            and adiga_lower_bound(k42) == 4,
@@ -255,7 +254,7 @@ def run_paper_checks(boxicity_budget: int = 10**8) -> list[CheckResult]:
     )
     _check(results, "split identity on fixtures", ok_split, "all k")
 
-    rec = e_upper_recurrence(8, 3, 2, table)
+    rec = e_upper_recurrence(8, 3, 2)
     _check(results, "edge recurrence at n=8", rec == 23 and rec >= 17,
            f"bound {rec} >= 17")
     closed = e_upper_closed(8, 3, 2, Fraction(1, 2))
@@ -285,10 +284,10 @@ def run_paper_checks(boxicity_budget: int = 10**8) -> list[CheckResult]:
     return results
 
 
-def format_eta_table(table=None) -> str:
-    table = table or default_eta_table()
-    cells = [f"eta({r}) = {table.entry(r).confirmed}" for r in range(1, 5)]
-    cells.append(f"eta(5) <= {table.entry(5).upper_bound}")
+def format_eta_table() -> str:
+    table = default_eta_table()
+    cells = [f"eta({r}) = {table.confirmed(r)}" for r in range(1, table.top + 1)]
+    cells.append(f"eta({table.top + 1}) <= {table.entry(table.top + 1).upper_bound}")
     return "  ".join(cells)
 
 

@@ -93,8 +93,7 @@ def test_eta_table():
         assert ba.is_agreeable(entry.witness, 2, 3)
         assert ba.clique_number(entry.witness) <= r
 
-    table = ba.default_eta_table()
-    upper5, cert5 = ba.eta_upper(5, table)
+    upper5, cert5 = ba.eta_upper(5)
     assert upper5 == 18
     assert cert5.rule == "parity" and cert5.excluded_n == 19
 

@@ -2,6 +2,8 @@ import json
 import math
 import re
 
+import pytest
+
 from boxagree import Arrangement, fixtures
 from boxagree.cli import main
 from boxagree.formats import serialize_arrangement, serialize_graph
@@ -107,6 +109,13 @@ def test_search_eta_single_r(capsys):
     assert "eta(5) <= 18" in out
 
 
+def test_search_eta_beyond_the_table_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "search-eta", "--r", "6")
+    assert code == 2
+    assert out == ""
+    assert "eta is only tabulated" in err
+
+
 def test_boxicity_command_decide(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text(serialize_graph(fixtures.k_partite(3)))
@@ -157,9 +166,17 @@ def test_fixtures_dump_unknown(capsys):
     assert code == 2
 
 
+def test_verify_paper_has_no_budget_option(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify-paper", "--budget", "5"])
+    assert exit_.value.code == 2
+
+
 def test_verify_paper_passes(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0
     assert "all" in out and "checks passed" in out
     assert "eta(5) <= 18" in out
     assert "FAIL" not in out
+    eta_line = "eta table: eta(1) = 2  eta(2) = 5  eta(3) = 8  eta(4) = 13  eta(5) <= 18"
+    assert eta_line in out.splitlines()

@@ -6,7 +6,6 @@ import pytest
 from boxagree import (
     Arrangement,
     ExposureCertificate,
-    default_eta_table,
     e_upper_closed,
     e_upper_recurrence,
     find_exposed,
@@ -122,35 +121,30 @@ def test_exposure_certificates_randomized():
 
 
 def test_recurrence_base_case():
-    table = default_eta_table()
     for r in (2, 3, 4):
-        assert e_upper_recurrence(r, r, 2, table) == r * (r - 1) // 2
+        assert e_upper_recurrence(r, r, 2) == r * (r - 1) // 2
 
 
 def test_recurrence_line_case_uses_point_eta():
-    table = default_eta_table()
-    assert e_upper_recurrence(5, 2, 1, table) == 4  # 1 + 3 * eta(1, 0) with eta(1,0)=1
+    assert e_upper_recurrence(5, 2, 1) == 4  # 1 + 3 * eta(1, 0) with eta(1,0)=1
 
 
 def test_recurrence_plane_case():
-    table = default_eta_table()
-    assert e_upper_recurrence(8, 3, 2, table) == 23  # 3 + 5 * eta(2,1), eta(2,1)=4
+    assert e_upper_recurrence(8, 3, 2) == 23  # 3 + 5 * eta(2,1), eta(2,1)=4
     assert 23 >= fixtures.expected_graph("fig38b").edge_count()
 
 
 def test_recurrence_missing_entry_is_named():
-    table = default_eta_table()
     with pytest.raises(MissingEtaError) as err:
-        e_upper_recurrence(10, 7, 3, table)  # needs eta(6), not tabulated
+        e_upper_recurrence(10, 7, 3)  # needs eta(6), not tabulated
     assert "eta(6)" in str(err.value)
 
 
 def test_recurrence_preconditions():
-    table = default_eta_table()
     with pytest.raises(ValueError):
-        e_upper_recurrence(3, 5, 2, table)
+        e_upper_recurrence(3, 5, 2)
     with pytest.raises(ValueError):
-        e_upper_recurrence(5, 2, 0, table)
+        e_upper_recurrence(5, 2, 0)
 
 
 def test_closed_form_values():

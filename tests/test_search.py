@@ -15,7 +15,7 @@ from boxagree import (
     min_agreement_proportion,
     verify_main_theorem,
 )
-from boxagree import fixtures
+from boxagree import BoxicityDecision, fixtures, search
 from boxagree.graphs import canonical_certificate
 
 from helpers import agreeable_classes_oracle, cycle
@@ -103,14 +103,13 @@ def test_eight_three_contains_both_extremal_graphs():
 
 
 def test_eta_upper_values_and_rules():
-    table = default_eta_table()
-    value2, cert2 = eta_upper(2, table)
+    value2, cert2 = eta_upper(2)
     assert (value2, cert2.rule, cert2.excluded_n) == (5, "degree", 6)
-    value3, cert3 = eta_upper(3, table)
+    value3, cert3 = eta_upper(3)
     assert (value3, cert3.rule, cert3.excluded_n) == (8, "parity", 9)
-    value4, cert4 = eta_upper(4, table)
+    value4, cert4 = eta_upper(4)
     assert (value4, cert4.rule) == (13, "degree")
-    value5, cert5 = eta_upper(5, table)
+    value5, cert5 = eta_upper(5)
     assert (value5, cert5.rule, cert5.excluded_n) == (18, "parity", 19)
 
 
@@ -132,6 +131,12 @@ def test_confirm_eta_witnesses_revalidated():
 def test_confirm_eta_out_of_range():
     with pytest.raises(ValueError):
         confirm_eta(5)
+
+
+def test_confirm_eta_reads_the_one_default_table():
+    table = default_eta_table()
+    for r in range(1, 5):
+        assert confirm_eta(r) is table.entry(r)
 
 
 def test_eta_upper_meets_witness_sizes():
@@ -191,6 +196,29 @@ def test_min_proportion_walk_matches_enumeration_per_n(r):
     result = min_agreement_proportion(r)
     assert result.value == best
     assert result.minimizers == tuple(g for prop, g in ranked if prop == best)
+
+
+def test_min_proportion_inconclusive_boxicity_names_the_graph(monkeypatch):
+    asked = []
+
+    def inconclusive(g, d):
+        asked.append(g)
+        return BoxicityDecision("inconclusive", None, 0)
+
+    monkeypatch.setattr(search, "decide_boxicity_leq", inconclusive)
+    with pytest.raises(RuntimeError) as err:
+        min_agreement_proportion(2, 1)
+    assert len(asked) == 1
+    assert repr(asked[0]) in str(err.value)
+
+
+def test_min_proportion_lets_a_decision_error_through(monkeypatch):
+    def broken(g, d):
+        raise RuntimeError("witness axis order is not a clique order")
+
+    monkeypatch.setattr(search, "decide_boxicity_leq", broken)
+    with pytest.raises(RuntimeError, match="^witness axis order is not a clique order$"):
+        min_agreement_proportion(2, 1)
 
 
 def test_min_proportion_desk_scale_limits():
