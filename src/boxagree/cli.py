@@ -135,7 +135,7 @@ def cmd_search_eta(args) -> int:
     for n, r in ((6, 2), (9, 3)):
         cert = enumerate_agreeable(n, r)
         print(f"exhaustion n={n}, omega<={r}: {len(cert.survivors)} graphs "
-              f"({cert.graphs_examined} examined)")
+              f"({cert.graphs_examined} examined, {cert.labellings} labellings)")
     return 0
 
 

@@ -172,12 +172,14 @@ def clique_number(g: Graph) -> int:
 
 
 def _cliques_within(adj: tuple[int, ...], cand: int, floor: int, ceiling: int, hit=()):
-    """Every clique of `floor` to `ceiling` (at least 1) vertices inside the
-    bitset `cand` that meets every bitset in `hit`, each once, as a bitset;
-    grown by ascending vertex index.  A branch stops as soon as some bitset
-    in `hit` lies outside what it can still add."""
-    if floor <= 0 and not hit:
+    """Every clique of `floor` to `ceiling` vertices inside the bitset `cand`
+    that meets every bitset in `hit`, each once, as a bitset; grown by
+    ascending vertex index.  A branch stops as soon as some bitset in `hit`
+    lies outside what it can still add."""
+    if floor <= 0 <= ceiling and not hit:
         yield 0
+    if ceiling < 1:
+        return
     while cand and cand.bit_count() >= floor:
         if any(not h & cand for h in hit):
             return
@@ -422,9 +424,12 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
     other positions).  Each splitter popped from `queue` (a cell start)
     splits every cell by its vertices' neighbour counts in the splitter, in
     ascending count order, so the result depends on the graph and the input
-    partition alone, never on vertex labels.  A split cell enqueues all of
-    its pieces but its first largest, unless it was queued already: its
-    counts with respect to that piece follow from the others'.
+    partition alone, never on vertex labels.  A cell that misses the
+    splitter's neighbourhood has count 0 throughout and stays whole, and a
+    singleton splitter {u} has counts 0 and 1, so one AND with u's row
+    splits a cell.  A split cell enqueues all of its pieces but its first
+    largest, unless it was queued already: its counts with respect to that
+    piece follow from the others'.
     """
     n = len(cells)
     queued = 0
@@ -434,22 +439,33 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
         s = queue.pop()
         queued &= ~(1 << s)
         w = cells[s]
+        single = not w & (w - 1)
+        if single:
+            reach = adj[w.bit_length() - 1]
+        else:
+            reach = 0
+            for v in _bits(w):
+                reach |= adj[v]
         t = 0
         while t < n:
             x = cells[t]
             size = x.bit_count()
-            if size == 1:
-                t += 1
+            if size == 1 or not x & reach:
+                t += size
                 continue
-            groups: dict[int, int] = {}
-            m = x
-            while m:
-                low = m & -m
-                m ^= low
-                c = (adj[low.bit_length() - 1] & w).bit_count()
-                groups[c] = groups.get(c, 0) | low
-            if len(groups) > 1:
+            if single:
+                inside = x & reach
+                pieces = [x ^ inside, inside] if inside != x else [x]
+            else:
+                groups: dict[int, int] = {}
+                m = x
+                while m:
+                    low = m & -m
+                    m ^= low
+                    c = (adj[low.bit_length() - 1] & w).bit_count()
+                    groups[c] = groups.get(c, 0) | low
                 pieces = [groups[c] for c in sorted(groups)]
+            if len(pieces) > 1:
                 skip = -1 if queued >> t & 1 else max(
                     range(len(pieces)), key=lambda i: (pieces[i].bit_count(), -i))
                 pos = t
@@ -460,6 +476,17 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
                         queue.append(pos)
                     pos += piece.bit_count()
             t += size
+
+
+def _root_partition(n: int, adj: tuple[int, ...]) -> list[int]:
+    """The equitable refinement of the unit partition, in `_refine`'s cell
+    layout: the root of `_canonical_labelling`'s search.  Each cell is a
+    union of automorphism orbits, and every leaf's vertex order lists the
+    cells in this order."""
+    cells = [0] * n
+    cells[0] = (1 << n) - 1
+    _refine(adj, cells, [0])
+    return cells
 
 
 def _orbit_roots(n: int, generators) -> list[int]:
@@ -500,9 +527,7 @@ def _canonical_labelling(
     individualized vertices.  The generators found this way generate the
     whole automorphism group.
     """
-    cells = [0] * n
-    cells[0] = (1 << n) - 1
-    _refine(adj, cells, [0])
+    cells = _root_partition(n, adj)
     leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     generators: list[tuple[int, ...]] = []
     best_key: tuple[int, ...] | None = None  # least relabelled graph

@@ -32,7 +32,9 @@ from .graphs import (
     _bits,
     _canonical_labelling,
     _cliques_within,
+    _is_clique,
     _orbit_roots,
+    _root_partition,
     canonical_form,
     clique_number,
     is_agreeable,
@@ -195,6 +197,7 @@ class SearchCertificate:
     survivors: tuple[Graph, ...]
     pruning: dict[str, int]
     level_sizes: tuple[int, ...]  # isomorphism classes on 1..n vertices
+    labellings: int  # full canonical labellings in the walk, not the final sort
 
 
 def _set_orbit_min(s: int, generators, known: dict[int, int]) -> int:
@@ -240,55 +243,86 @@ def enumerate_agreeable(n: int, r: int) -> SearchCertificate:
 
     A new vertex's non-neighbours must form a clique (two non-adjacent ones
     would make an independent triple with it), so each attachment is the
-    complement of a clique of G.  That clique meets every r-clique of G,
-    which keeps the clique number at most r, and has at least
-    k - eta(r-1) vertices, which caps the new vertex's degree; it has at
-    most k - max(deg G) vertices, since the new vertex needs the largest
-    degree.  The same degree test then keeps every old vertex within the
-    cap.  Labelling runs only on parents with an attachment that passes
-    the degree tests, and on children with a tie, whose automorphisms then
-    serve them as parents on the next level.  `level_sizes` counts
-    the classes on 1..n vertices; the survivors are re-validated through
-    the public queries and sorted by certificate.
+    complement of a clique C of G.  Only the admissible ones are generated:
+    C meets every r-clique of G, which keeps the clique number at most r;
+    it has at least k - eta(r-1) vertices, which caps the new vertex's
+    degree d = k - |C|; d reaches the largest degree of G, and C contains
+    every old vertex of degree at least d, so none ends above the new
+    vertex.  Each level carries its graphs' r-cliques: a child's are its
+    parent's plus the new vertex with each (r-1)-clique of its attachment.
+
+    Before a full labelling, the equitable refinement of the unit partition
+    (the labeller's own root step) is tried: each of its cells is a union
+    of automorphism orbits and holds one score.  An attachment that is a
+    union of the parent's cells is its own orbit; a discrete partition
+    makes the graph rigid, and a rigid parent whose new vertex every
+    automorphism of the child fixes gives a rigid child; and the new vertex
+    is canonical when its first top-score cell is {v}, and is not when v
+    lies outside it.  `labellings` counts the full labellings the rest
+    need, parents for an orbit test and children for a tie; a labelled
+    child serves as a parent on the next level.  `level_sizes` counts the
+    classes on 1..n vertices; the survivors are re-validated through the
+    public queries and sorted by certificate.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n, r >= 1, got n={n}, r={r}")
-    work = {"examined": 0, "orbit": 0, "not_canonical": 0}
+    work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0}
     sizes = []
     for level in _levels(n, r, work):
         sizes.append(len(level))
     examined = work.pop("examined")
+    labellings = work.pop("labellings")
     survivors = tuple(sorted(_survivors(n, r, level), key=canonical_form))
-    return SearchCertificate(n, r, examined, survivors, work, tuple(sizes))
+    return SearchCertificate(n, r, examined, survivors, work, tuple(sizes), labellings)
+
+
+def _admissible_cliques(adj, deg, r_cliques, floor: int, ceiling: int):
+    """The cliques C of a k-vertex graph, of `floor` to `ceiling` vertices,
+    that meet every r-clique and leave no old vertex above the new one's
+    degree d = k - |C|, given a ceiling of at most k - max(deg), so that d
+    is no less than any old degree.  An old vertex ends with degree deg(v) + [v not in
+    C], so every v with deg(v) >= d is forced into C; a size whose forced
+    set is not a clique, or outgrows the size, has no such C, and otherwise
+    C is the forced set plus a clique of its common neighbourhood."""
+    k = len(adj)
+    for size in range(max(floor, 0), ceiling + 1):
+        forced = 0
+        common = (1 << k) - 1
+        for v in range(k):
+            if deg[v] >= k - size:
+                forced |= 1 << v
+                common &= adj[v]
+        if forced.bit_count() > size or not _is_clique(forced, adj):
+            continue
+        rest = [c for c in r_cliques if not c & forced]
+        free = size - forced.bit_count()
+        for clique in _cliques_within(adj, common, free, free, rest):
+            yield forced | clique
 
 
 def _levels(n: int, r: int, work: dict[str, int]):
     """Yield the levels k = 1..n of the canonical augmentation in
     `enumerate_agreeable`, each a list of (adjacency rows, automorphism
-    generators or None until labelled), one per isomorphism class.  `work`
-    counts the attachments "examined" and those pruned by each rule."""
+    generators or None until labelled, r-cliques), one per isomorphism
+    class.  `work` counts the attachments "examined", those pruned by each
+    rule, and the full "labellings"."""
     degree_cap = default_eta_table().best_upper(r - 1)
-    level: list[tuple[tuple[int, ...], list | None]] = [((0,), [])]  # one vertex
+    level: list[tuple[tuple[int, ...], list | None, list[int]]] = [
+        ((0,), [], [1] if r == 1 else [])]  # one vertex
     yield level
     for k in range(1, n):
-        nxt: list[tuple[tuple[int, ...], list | None]] = []
+        nxt: list[tuple[tuple[int, ...], list | None, list[int]]] = []
         fullk = (1 << k) - 1
-        for adj, parent_aut in level:
+        for adj, parent_aut, r_cliques in level:
             deg = [m.bit_count() for m in adj]
-            # omega(G) <= r, so the cliques of at least r vertices are its r-cliques
-            r_cliques = list(_cliques_within(adj, fullk, r, r))
+            root = None  # the parent's root partition, once an orbit test needs it
             orbit_min: dict[int, int] = {}
             # the new vertex's degree k - |clique| must reach max(deg)
-            for clique in _cliques_within(adj, fullk, k - degree_cap, k - max(deg), r_cliques):
+            for clique in _admissible_cliques(adj, deg, r_cliques, k - degree_cap, k - max(deg)):
                 work["examined"] += 1
                 attach = fullk ^ clique
                 d = attach.bit_count()
-                # the old vertices' degrees in the child; none may beat d
-                newdeg = [deg[v] + (attach >> v & 1) for v in range(k)]
-                if max(newdeg) > d:
-                    work["not_canonical"] += 1
-                    continue
-                newdeg.append(d)
+                newdeg = [deg[v] + (attach >> v & 1) for v in range(k)] + [d]
                 newadj = tuple(
                     adj[v] | ((attach >> v & 1) << k) for v in range(k)
                 ) + (attach,)
@@ -301,19 +335,40 @@ def _levels(n: int, r: int, work: dict[str, int]):
                     work["not_canonical"] += 1
                     continue
                 if parent_aut is None:
-                    parent_aut = _canonical_labelling(k, adj)[2]
-                if _set_orbit_min(attach, parent_aut, orbit_min) != attach:
+                    if root is None:
+                        root = [c for c in _root_partition(k, adj) if c]
+                        if len(root) == k:  # a discrete root partition: G is rigid
+                            parent_aut = []
+                    # a union of root cells is fixed by Aut(G): its own orbit
+                    if parent_aut is None and any(attach & c not in (0, c) for c in root):
+                        parent_aut = _canonical_labelling(k, adj)[2]
+                        work["labellings"] += 1
+                if parent_aut is not None and \
+                        _set_orbit_min(attach, parent_aut, orbit_min) != attach:
                     work["orbit"] += 1
                     continue
                 child_aut = None
                 if score.count(top) > 1:
-                    _, order, child_aut = _canonical_labelling(k + 1, newadj)
-                    first = next(v for v in order if score[v] == top)
-                    roots = _orbit_roots(k + 1, child_aut)
-                    if roots[first] != roots[k]:
+                    # the first top-score vertex in canonical order lies in
+                    # the first top-score cell of the root partition
+                    cell = next(c for c in _root_partition(k + 1, newadj)
+                                if c and score[(c & -c).bit_length() - 1] == top)
+                    if not cell >> k & 1:
                         work["not_canonical"] += 1
                         continue
-                nxt.append((newadj, child_aut))
+                    if cell != 1 << k:
+                        _, order, child_aut = _canonical_labelling(k + 1, newadj)
+                        work["labellings"] += 1
+                        first = next(v for v in order if score[v] == top)
+                        roots = _orbit_roots(k + 1, child_aut)
+                        if roots[first] != roots[k]:
+                            work["not_canonical"] += 1
+                            continue
+                if child_aut is None and parent_aut == []:
+                    # Aut(G + k) fixes k, so it restricts into the trivial Aut(G)
+                    child_aut = []
+                new_cliques = [c | 1 << k for c in _cliques_within(adj, attach, r - 1, r - 1)]
+                nxt.append((newadj, child_aut, r_cliques + new_cliques))
         level = nxt
         yield level
 
@@ -322,7 +377,7 @@ def _survivors(n: int, r: int, level) -> list[Graph]:
     """The graphs of a level, each re-validated through the public queries,
     independent of the pruned search."""
     survivors = []
-    for adj, _ in level:
+    for adj, _, _ in level:
         g = Graph.from_masks(n, adj)
         if not is_agreeable(g, 2, 3):  # pragma: no cover - search invariant
             raise RuntimeError("survivor failed agreeability re-validation")
@@ -371,7 +426,7 @@ def min_agreement_proportion(r: int, d_constraint: int | None = None) -> Proport
         raise ValueError(f"minima are limited to r <= {table.top}")
     best: Fraction | None = None
     minimizers: list[Graph] = []
-    work = {"examined": 0, "orbit": 0, "not_canonical": 0}
+    work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0}
     for n, level in enumerate(_levels(table.confirmed(r), r, work), start=1):
         for g in _survivors(n, r, level):
             if d_constraint is not None and not _box_at_most(g, d_constraint):

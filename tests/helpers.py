@@ -11,7 +11,14 @@ from itertools import combinations, permutations, product
 from random import Random
 
 from boxagree import Arrangement, Graph, clique_number, intersect_boxes, is_interval_graph
-from boxagree.graphs import canonical_certificate
+from boxagree.graphs import (
+    _bits,
+    _canonical_labelling,
+    _cliques_within,
+    _orbit_roots,
+    canonical_certificate,
+)
+from boxagree.search import _set_orbit_min, default_eta_table
 
 
 def random_arrangement(rng: Random, max_n: int = 8, max_d: int = 3,
@@ -148,6 +155,16 @@ def subset_clique_oracle(g: Graph, s: int) -> int:
     return count
 
 
+def cliques_oracle(g: Graph, hit=()) -> list[int]:
+    """Bitsets of every clique of g, the empty one included, that meets
+    every bitset in `hit`, ascending, by scanning every vertex subset."""
+    return [
+        mask for mask in range(1 << g.n)
+        if all(mask & h for h in hit)
+        and all(g.has_edge(u + 1, v + 1) for u, v in combinations(_bits(mask), 2))
+    ]
+
+
 def max_clique_oracle(g: Graph) -> int:
     for size in range(g.n, 0, -1):
         if subset_clique_oracle(g, size):
@@ -240,6 +257,96 @@ def minimal_interval_supergraphs_oracle(n: int) -> list[list[int]]:
         found = {h for i in range(len(pairs)) if not e >> i & 1 for h in least[e | 1 << i]}
         least[e] = [h for h in found if not any(t != h and t & h == t for t in found)]
     return least
+
+
+def refine_oracle(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
+    """`graphs._refine` by the general rule alone: every splitter groups
+    every non-singleton cell by neighbour counts, with no shortcut for
+    singleton splitters or for cells outside the splitter's reach."""
+    n = len(cells)
+    queued = 0
+    for s in queue:
+        queued |= 1 << s
+    while queue:
+        s = queue.pop()
+        queued &= ~(1 << s)
+        w = cells[s]
+        t = 0
+        while t < n:
+            x = cells[t]
+            size = x.bit_count()
+            if size == 1:
+                t += 1
+                continue
+            groups: dict[int, int] = {}
+            m = x
+            while m:
+                low = m & -m
+                m ^= low
+                c = (adj[low.bit_length() - 1] & w).bit_count()
+                groups[c] = groups.get(c, 0) | low
+            if len(groups) > 1:
+                pieces = [groups[c] for c in sorted(groups)]
+                skip = -1 if queued >> t & 1 else max(
+                    range(len(pieces)), key=lambda i: (pieces[i].bit_count(), -i))
+                pos = t
+                for i, piece in enumerate(pieces):
+                    cells[pos] = piece
+                    if i != skip and not queued >> pos & 1:
+                        queued |= 1 << pos
+                        queue.append(pos)
+                    pos += piece.bit_count()
+            t += size
+
+
+def levels_oracle(n: int, r: int):
+    """The levels of `search._levels`, by canonical augmentation with each
+    test run in full: every clique of an allowed size that meets the
+    r-cliques, listed afresh per parent, is built into a child and dropped
+    if an old vertex outgrows the new one; the parent is labelled for every
+    orbit test and the child for every tie.  Yields, per level, a list of
+    (adjacency rows, automorphism generators or None)."""
+    degree_cap = default_eta_table().best_upper(r - 1)
+    level: list[tuple[tuple[int, ...], list | None]] = [((0,), [])]
+    yield level
+    for k in range(1, n):
+        nxt: list[tuple[tuple[int, ...], list | None]] = []
+        fullk = (1 << k) - 1
+        for adj, parent_aut in level:
+            deg = [m.bit_count() for m in adj]
+            r_cliques = list(_cliques_within(adj, fullk, r, r))
+            orbit_min: dict[int, int] = {}
+            for clique in _cliques_within(adj, fullk, k - degree_cap, k - max(deg), r_cliques):
+                attach = fullk ^ clique
+                d = attach.bit_count()
+                newdeg = [deg[v] + (attach >> v & 1) for v in range(k)]
+                if max(newdeg) > d:
+                    continue
+                newdeg.append(d)
+                newadj = tuple(
+                    adj[v] | ((attach >> v & 1) << k) for v in range(k)
+                ) + (attach,)
+                score = [
+                    sum(newdeg[w] for w in _bits(newadj[v])) if newdeg[v] == d else -1
+                    for v in range(k + 1)
+                ]
+                top = max(score)
+                if score[k] < top:
+                    continue
+                if parent_aut is None:
+                    parent_aut = _canonical_labelling(k, adj)[2]
+                if _set_orbit_min(attach, parent_aut, orbit_min) != attach:
+                    continue
+                child_aut = None
+                if score.count(top) > 1:
+                    _, order, child_aut = _canonical_labelling(k + 1, newadj)
+                    first = next(v for v in order if score[v] == top)
+                    roots = _orbit_roots(k + 1, child_aut)
+                    if roots[first] != roots[k]:
+                        continue
+                nxt.append((newadj, child_aut))
+        level = nxt
+        yield level
 
 
 def cycle(n: int) -> Graph:

@@ -100,7 +100,8 @@ def test_search_eta_table(capsys):
     code, out, _ = run(capsys, "search-eta")
     assert code == 0
     assert "eta(4) = 13" in out
-    assert "exhaustion n=9" in out and "0 graphs" in out
+    assert "exhaustion n=6, omega<=2: 0 graphs (10 examined, 7 labellings)" in out
+    assert "exhaustion n=9, omega<=3: 0 graphs (98 examined, 34 labellings)" in out
 
 
 def test_search_eta_single_r(capsys):

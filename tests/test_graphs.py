@@ -20,16 +20,19 @@ from boxagree import (
     strip_universal,
 )
 from boxagree import fixtures
-from boxagree.graphs import _canonical_labelling
+from boxagree import graphs
+from boxagree.graphs import _canonical_labelling, _cliques_within
 
 from helpers import (
     automorphism_orbits_oracle,
+    cliques_oracle,
     complete,
     cycle,
     is_chordal_oracle,
     max_clique_oracle,
     path,
     random_graph,
+    refine_oracle,
     subset_clique_oracle,
     triple_induced_edge_property,
 )
@@ -129,6 +132,23 @@ def test_count_cliques_rejects_bad_size():
         count_cliques_of_size(complete(3), 0)
     with pytest.raises(ValueError):
         count_cliques_of_size(complete(3), 4)
+
+
+def test_cliques_within_matches_subset_oracle():
+    # every size window in -1..4, including the empty and inverted ones, on
+    # every labelled graph on <= 5 vertices, with and without a hit list
+    rng = Random(29)
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        for g in _all_labeled_graphs(n):
+            for hit in ((), [rng.randint(1, full) for _ in range(rng.randint(1, 2))]):
+                cliques = cliques_oracle(g, hit)
+                for floor in range(-1, 5):
+                    for ceiling in range(-1, 5):
+                        found = list(_cliques_within(g._adj, full, floor, ceiling, hit))
+                        assert sorted(found) == [
+                            c for c in cliques if floor <= c.bit_count() <= ceiling
+                        ], (g, hit, floor, ceiling)
 
 
 # -- agreeability -------------------------------------------------------------
@@ -366,6 +386,21 @@ def test_canonical_k_partite_relabelled(d):
         rng.shuffle(perm)
         relabeled = Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
         assert canonical_form(relabeled) == want
+
+
+def test_labelling_identical_under_the_general_refinement(monkeypatch):
+    # the singleton-splitter AND and the skip of cells outside the
+    # splitter's reach must not change a certificate, order or generator
+    rng = Random(31)
+    cases = [random_graph(rng, max_n=16, p=rng.choice((0.2, 0.5, 0.8)))
+             for _ in range(1000)]
+    cases += [fixtures.k_partite(d) for d in range(3, 7)]
+    cases += [fixtures.expected_graph(name) for name, _ in fixtures.names()
+              if name not in ("k_partite", "two_camps")]
+    fast = [_canonical_labelling(g.n, g._adj) for g in cases]
+    monkeypatch.setattr(graphs, "_refine", refine_oracle)
+    general = [_canonical_labelling(g.n, g._adj) for g in cases]
+    assert fast == general
 
 
 def test_interval_counts_match_known_sequence():

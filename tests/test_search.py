@@ -16,9 +16,15 @@ from boxagree import (
     verify_main_theorem,
 )
 from boxagree import BoxicityDecision, fixtures, search
-from boxagree.graphs import canonical_certificate
+from boxagree.graphs import (
+    _canonical_labelling,
+    _cliques_within,
+    _orbit_roots,
+    canonical_certificate,
+    canonical_form,
+)
 
-from helpers import agreeable_classes_oracle, cycle
+from helpers import agreeable_classes_oracle, cycle, levels_oracle
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -64,9 +70,59 @@ def test_enumerate_level_sizes_and_accounting():
     cert = enumerate_agreeable(13, 4)
     assert cert.level_sizes == (1, 2, 3, 7, 13, 32, 71, 179, 290, 313, 105, 12, 1)
     assert len(cert.survivors) == cert.level_sizes[-1]
+    # only degree-admissible attachments are generated, and the root
+    # partition settles what it can before a full labelling runs
+    assert cert.graphs_examined == 3071
+    assert cert.pruning == {"orbit": 855, "not_canonical": 1188}
+    assert cert.labellings == 533
     # every attachment examined is pruned by one rule or kept as a class
     assert cert.graphs_examined == sum(cert.pruning.values()) + sum(cert.level_sizes[1:])
     assert enumerate_agreeable(9, 3).level_sizes == (1, 2, 3, 6, 9, 15, 9, 3, 0)
+
+
+@pytest.mark.parametrize(("n", "r"), [(13, 4), (9, 3), (8, 3), (7, 2), (6, 2), (2, 1)])
+def test_levels_match_the_unshortcut_walk(n, r):
+    # the same representatives, not only the same class counts
+    mine = search._levels(n, r, {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0})
+    for k, (level, expected) in enumerate(zip(mine, levels_oracle(n, r), strict=True), start=1):
+        assert {adj for adj, _, _ in level} == {adj for adj, _ in expected}, k
+
+
+@pytest.mark.parametrize(("n", "r"), [(13, 4), (9, 3), (2, 1)])
+def test_levels_carry_their_r_cliques(n, r):
+    work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0}
+    for k, level in enumerate(search._levels(n, r, work), start=1):
+        for adj, _, r_cliques in level:
+            assert sorted(r_cliques) == sorted(_cliques_within(adj, (1 << k) - 1, r, r))
+
+
+def test_levels_carry_true_automorphism_orbits():
+    # generators inherited as [] by rigid children included
+    work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0}
+    carried = 0
+    for k, level in enumerate(search._levels(13, 4, work), start=1):
+        for adj, aut, _ in level:
+            if aut is None:
+                continue
+            carried += 1
+            fresh = _canonical_labelling(k, adj)[2]
+            assert _orbit_roots(k, aut) == _orbit_roots(k, fresh), (k, adj)
+    assert carried > 0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_min_proportion_matches_the_unshortcut_walk(r):
+    ranked = [
+        (Fraction(clique_number(g), n), g)
+        for n, level in enumerate(levels_oracle(default_eta_table().confirmed(r), r), start=1)
+        for g in (Graph.from_masks(n, adj) for adj, _ in level)
+    ]
+    best = min(prop for prop, _ in ranked)
+    expected = sorted((g for prop, g in ranked if prop == best),
+                      key=lambda g: (g.n, canonical_form(g)))
+    result = min_agreement_proportion(r)
+    assert result.value == best
+    assert result.minimizers == tuple(expected)
 
 
 def test_enumerate_survivors_validate_independently():
