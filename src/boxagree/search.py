@@ -15,8 +15,10 @@ adjacent; every such attachment keeps the graph agreeable, and the clique
 cap and the degree cap eta(r-1) are built into which cliques are generated.
 All three constraints are hereditary for vertex deletion, so every valid
 n-vertex graph is reachable from the graph one level down that its
-canonical vertex leaves; the survivors are re-validated post hoc through
-the public queries, independent of the pruned search.
+canonical vertex leaves.  So is box <= d: a boxicity cap filters inside the
+walk, exactly, as a kept graph's canonical parent has box <= d too.  The
+survivors are re-validated post hoc through the public queries,
+independent of the pruned search.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ class EtaTable:
             raise MissingEtaError(f"eta({r}) (only an upper bound is known)")
         return e.confirmed
 
-    def best_upper(self, r: int) -> int:
-        """Confirmed value when known, otherwise the recorded upper bound."""
-        e = self.entry(r)
-        return e.confirmed if e.confirmed is not None else e.upper_bound
-
     def eta_dim(self, r: int, d: int) -> int:
         """eta(r, d): exact for d = 0 (all 0-boxes coincide, so the graph is
         complete and n <= r) and d = 1 (2r); the dimension-free value serves
@@ -108,7 +105,7 @@ class EtaTable:
             return r
         if d == 1:
             return 2 * r
-        return self.best_upper(r)
+        return self.entry(r).upper_bound
 
 
 def _degree_bound(r: int, prev: int) -> tuple[int, EtaUpperCertificate]:
@@ -130,9 +127,10 @@ def _degree_bound(r: int, prev: int) -> tuple[int, EtaUpperCertificate]:
 
 
 def eta_upper(r: int) -> tuple[int, EtaUpperCertificate]:
-    """Largest n not excluded by the degree bounds, with its certificate:
-    the Greenwood-Gleason bound (1955) R(3, r+1) <= R(3, r) + r + 1 with
-    its parity step, read through eta(r) = R(3, r+1) - 1.
+    """Largest n not excluded by the degree bounds, with its certificate,
+    as the default table stores them: the Greenwood-Gleason bound (1955)
+    R(3, r+1) <= R(3, r) + r + 1 with its parity step, read through
+    eta(r) = R(3, r+1) - 1.
 
     A vertex's non-neighbours form a clique, so the minimum degree is at
     least n - r - 1; its neighbourhood is agreeable with clique number at
@@ -142,7 +140,8 @@ def eta_upper(r: int) -> tuple[int, EtaUpperCertificate]:
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    return _degree_bound(r, default_eta_table().confirmed(r - 1))
+    e = default_eta_table().entry(r)
+    return e.upper_bound, e.impossibility
 
 
 def _witnesses() -> list[Graph]:
@@ -300,13 +299,16 @@ def _admissible_cliques(adj, deg, r_cliques, floor: int, ceiling: int):
             yield forced | clique
 
 
-def _levels(n: int, r: int, work: dict[str, int]):
+def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
     """Yield the levels k = 1..n of the canonical augmentation in
     `enumerate_agreeable`, each a list of (adjacency rows, automorphism
     generators or None until labelled, r-cliques), one per isomorphism
     class.  `work` counts the attachments "examined", those pruned by each
-    rule, and the full "labellings"."""
-    degree_cap = default_eta_table().best_upper(r - 1)
+    rule, and the full "labellings".  Given `dim`, a child that passes the
+    canonicity tests is kept only if its boxicity is at most `dim` (exact,
+    as its canonical parent then is too), else it counts under "boxicity";
+    a decision on <= 13 vertices charges the DP at most 13 * 2^12 nodes."""
+    degree_cap = default_eta_table().entry(r - 1).upper_bound
     level: list[tuple[tuple[int, ...], list | None, list[int]]] = [
         ((0,), [], [1] if r == 1 else [])]  # one vertex
     yield level
@@ -364,6 +366,16 @@ def _levels(n: int, r: int, work: dict[str, int]):
                         if roots[first] != roots[k]:
                             work["not_canonical"] += 1
                             continue
+                if dim is not None:
+                    g = Graph.from_masks(k + 1, newadj)
+                    if roberts_upper_bound(g) > dim and not is_interval_graph(g):
+                        status = decide_boxicity_leq(g, dim).status
+                        if status == "inconclusive":
+                            raise RuntimeError(
+                                f"boxicity of {g!r} undecided within the default budget")
+                        if status == "no":
+                            work["boxicity"] += 1
+                            continue
                 if child_aut is None and parent_aut == []:
                     # Aut(G + k) fixes k, so it restricts into the trivial Aut(G)
                     child_aut = []
@@ -391,21 +403,7 @@ def _survivors(n: int, r: int, level) -> list[Graph]:
 class ProportionResult:
     value: Fraction
     minimizers: tuple[Graph, ...]
-    dimension_cap: int | None
-
-
-def _box_at_most(g: Graph, d: int) -> bool:
-    """Exact box(g) <= d with the cheap certain routes tried first.  For
-    r <= 4 the graphs have at most 13 vertices, so the DP charges at most
-    13 * 2^12 = 53,248 nodes and an "inconclusive" breaks an invariant."""
-    if roberts_upper_bound(g) <= d:
-        return True
-    if is_interval_graph(g):
-        return True
-    decision = decide_boxicity_leq(g, d)
-    if decision.status == "inconclusive":
-        raise RuntimeError(f"boxicity of {g!r} undecided within the default budget")
-    return decision.status == "yes"
+    level_sizes: tuple[int, ...]  # classes within the boxicity cap on 1..eta(r) vertices
 
 
 def min_agreement_proportion(r: int, d_constraint: int | None = None) -> ProportionResult:
@@ -413,9 +411,10 @@ def min_agreement_proportion(r: int, d_constraint: int | None = None) -> Proport
     at most r (and boxicity at most d_constraint when given), together with
     the graphs attaining it.
 
-    With the dimension cap at floor(eta(r)/2) or above the filter is
-    vacuous (every candidate passes by the floor(n/2) bound), so that call
-    coincides with the unconstrained minimum.
+    One walk of the levels up to eta(r) serves every n.  The cap filters
+    inside it, exactly, as a kept graph's canonical parent passes it too;
+    the last non-empty level is eta(r, d).  At floor(eta(r)/2) or above the
+    cap is vacuous (every candidate passes by the floor(n/2) bound).
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -426,11 +425,11 @@ def min_agreement_proportion(r: int, d_constraint: int | None = None) -> Proport
         raise ValueError(f"minima are limited to r <= {table.top}")
     best: Fraction | None = None
     minimizers: list[Graph] = []
-    work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0}
-    for n, level in enumerate(_levels(table.confirmed(r), r, work), start=1):
+    sizes = []
+    work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0, "boxicity": 0}
+    for n, level in enumerate(_levels(table.confirmed(r), r, work, d_constraint), start=1):
+        sizes.append(len(level))
         for g in _survivors(n, r, level):
-            if d_constraint is not None and not _box_at_most(g, d_constraint):
-                continue
             prop = Fraction(clique_number(g), n)
             if best is None or prop < best:
                 best = prop
@@ -440,7 +439,7 @@ def min_agreement_proportion(r: int, d_constraint: int | None = None) -> Proport
     if best is None:  # pragma: no cover - K1 always qualifies
         raise RuntimeError("no graphs enumerated")
     minimizers.sort(key=lambda g: (g.n, canonical_form(g)))
-    return ProportionResult(best, tuple(minimizers), d_constraint)
+    return ProportionResult(best, tuple(minimizers), tuple(sizes))
 
 
 def verify_main_theorem(d: int, r: int) -> bool:

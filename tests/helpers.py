@@ -10,7 +10,15 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from random import Random
 
-from boxagree import Arrangement, Graph, clique_number, intersect_boxes, is_interval_graph
+from boxagree import (
+    Arrangement,
+    Graph,
+    clique_number,
+    decide_boxicity_leq,
+    intersect_boxes,
+    is_interval_graph,
+    roberts_upper_bound,
+)
 from boxagree.graphs import (
     _bits,
     _canonical_labelling,
@@ -18,7 +26,7 @@ from boxagree.graphs import (
     _orbit_roots,
     canonical_certificate,
 )
-from boxagree.search import _set_orbit_min, default_eta_table
+from boxagree.search import _levels, _set_orbit_min, default_eta_table
 
 
 def random_arrangement(rng: Random, max_n: int = 8, max_d: int = 3,
@@ -306,7 +314,7 @@ def levels_oracle(n: int, r: int):
     if an old vertex outgrows the new one; the parent is labelled for every
     orbit test and the child for every tie.  Yields, per level, a list of
     (adjacency rows, automorphism generators or None)."""
-    degree_cap = default_eta_table().best_upper(r - 1)
+    degree_cap = default_eta_table().entry(r - 1).upper_bound
     level: list[tuple[tuple[int, ...], list | None]] = [((0,), [])]
     yield level
     for k in range(1, n):
@@ -347,6 +355,26 @@ def levels_oracle(n: int, r: int):
                 nxt.append((newadj, child_aut))
         level = nxt
         yield level
+
+
+def box_at_most(g: Graph, d: int) -> bool:
+    """Exact box(g) <= d: the Roberts and interval shortcuts, then one
+    decision at the default budget."""
+    if roberts_upper_bound(g) <= d or is_interval_graph(g):
+        return True
+    decision = decide_boxicity_leq(g, d)
+    if decision.status == "inconclusive":
+        raise RuntimeError(f"boxicity of {g!r} undecided within the default budget")
+    return decision.status == "yes"
+
+
+def post_hoc_levels(n: int, r: int, d: int):
+    """The levels of `search._levels(n, r, work, d)` the slow way: walk every
+    class with clique number <= r, and only then drop the classes of
+    boxicity above d.  Yields, per level, the set of adjacency rows kept."""
+    work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0}
+    for k, level in enumerate(_levels(n, r, work), start=1):
+        yield {adj for adj, _, _ in level if box_at_most(Graph.from_masks(k, adj), d)}
 
 
 def cycle(n: int) -> Graph:

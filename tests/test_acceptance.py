@@ -258,9 +258,13 @@ def test_desk_scale_limits():
     rho42 = ba.min_agreement_proportion(4, 2)
     assert rho42.value == Fraction(3, 8)
     assert [g.n for g in rho42.minimizers] == [8, 8]
+    # the filtered walk's last non-empty level: eta(4, 2) = 10
+    assert rho42.level_sizes == (1, 2, 3, 7, 13, 31, 65, 145, 163, 75, 0, 0, 0)
     rho43 = ba.min_agreement_proportion(4, 3)
     assert rho43.value == Fraction(1, 3)
     assert [g.n for g in rho43.minimizers] == [12] * 11
+    # eta(4, 3) = 12
+    assert rho43.level_sizes[11] == 11 and rho43.level_sizes[12] == 0
 
     # the open fig38c question is attempted; its outcome is reported, not gated
     report = ba.boxicity_report(fixtures.load("fig38c"))

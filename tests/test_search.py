@@ -24,7 +24,7 @@ from boxagree.graphs import (
     canonical_form,
 )
 
-from helpers import agreeable_classes_oracle, cycle, levels_oracle
+from helpers import agreeable_classes_oracle, cycle, levels_oracle, post_hoc_levels
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -108,6 +108,23 @@ def test_levels_carry_true_automorphism_orbits():
             fresh = _canonical_labelling(k, adj)[2]
             assert _orbit_roots(k, aut) == _orbit_roots(k, fresh), (k, adj)
     assert carried > 0
+
+
+@pytest.mark.parametrize(("r", "d"), [(r, d) for r in (1, 2, 3) for d in (1, 2, 3)] + [(4, 1)])
+def test_capped_levels_match_the_post_hoc_filter(r, d):
+    # box <= d is hereditary, so filtering inside the walk keeps the same
+    # representatives as filtering the unconstrained levels afterwards
+    n = default_eta_table().confirmed(r)
+    work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0, "boxicity": 0}
+    sizes = []
+    mine = search._levels(n, r, work, d)
+    for k, (level, expected) in enumerate(zip(mine, post_hoc_levels(n, r, d), strict=True),
+                                           start=1):
+        assert {adj for adj, _, _ in level} == expected, k
+        sizes.append(len(level))
+    examined = work.pop("examined")
+    work.pop("labellings")
+    assert examined == sum(work.values()) + sum(sizes[1:])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -195,6 +212,15 @@ def test_confirm_eta_reads_the_one_default_table():
         assert confirm_eta(r) is table.entry(r)
 
 
+def test_eta_upper_reads_the_table_entry():
+    table = default_eta_table()
+    for r in range(1, 6):
+        entry = table.entry(r)
+        assert eta_upper(r) == (entry.upper_bound, entry.impossibility)
+    with pytest.raises(MissingEtaError, match=r"eta\(6\)"):
+        eta_upper(6)
+
+
 def test_eta_upper_meets_witness_sizes():
     table = default_eta_table()
     for r in range(1, 5):
@@ -233,6 +259,14 @@ def test_min_proportion_trivial_r():
     result = min_agreement_proportion(1, 1)
     assert result.value == Fraction(1, 2)
     assert any(g.n == 2 and g.edge_count() == 0 for g in result.minimizers)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_min_proportion_interval_levels_end_at_2r(r):
+    # eta(r, 1) = 2r, read off the filtered walk rather than assumed
+    sizes = min_agreement_proportion(r, 1).level_sizes
+    assert len(sizes) == default_eta_table().confirmed(r)
+    assert max(n for n, size in enumerate(sizes, start=1) if size) == 2 * r
 
 
 def test_min_proportion_unconstrained_r2():
@@ -289,6 +323,7 @@ def test_min_proportion_dimension_cap_coincides_with_unconstrained():
     unconstrained = min_agreement_proportion(2)
     capped = min_agreement_proportion(2, 2)  # floor(5/2) = 2
     assert capped.value == unconstrained.value
+    assert capped.level_sizes == unconstrained.level_sizes == (1, 2, 2, 3, 1)
 
 
 def test_verify_main_theorem_small_cases():
