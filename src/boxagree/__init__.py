@@ -29,6 +29,7 @@ from .exposure import (
     e_upper_recurrence,
     find_exposed,
     split,
+    split_identity_failures,
     validate_exposure,
     verify_split_identity,
 )
@@ -69,6 +70,7 @@ from .search import (
     default_eta_table,
     enumerate_agreeable,
     eta_upper,
+    main_theorem_holds,
     min_agreement_proportion,
     verify_main_theorem,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .geometry import Arrangement, Box, FVector, f_vector, intersect_boxes
 from .search import default_eta_table
@@ -113,16 +114,30 @@ def _f_partial(dimension: int, pieces: dict[int, Box | None]) -> FVector:
     return f_vector(Arrangement(dimension, tuple(present)))
 
 
-def verify_split_identity(arr: Arrangement, k: int) -> bool:
-    """Evaluate f_k(B) == f_k(B') + f_{k-1}(B'') with the split taken at the
-    exposed box; each side counts cliques in its own intersection graph."""
-    if not 1 <= k <= arr.n - 1:
-        raise ValueError(f"need 1 <= k <= n-1 = {arr.n - 1}, got {k}")
+def split_identity_failures(arr: Arrangement) -> tuple[int, ...]:
+    """The k in 1..n-1 where f_k(B) == f_k(B') + f_{k-1}(B'') fails, with
+    the split taken once at the exposed box.  Each side counts cliques of
+    every size in one traversal of its own intersection graph, so all k
+    cost what one does."""
     cert = find_exposed(arr)
     rest, pieces = split(arr, cert.box_index)
-    whole = f_vector(arr)
-    partial = _f_partial(arr.dimension, pieces)
-    return whole.f(k) == f_vector(rest).f(k) + partial.f(k - 1)
+    # row k holds f_k(B), f_k(B') and f_{k-1}(B''), 0 past each stored range
+    rows = zip_longest(
+        f_vector(arr).entries[1:],
+        f_vector(rest).entries[1:],
+        _f_partial(arr.dimension, pieces).entries,
+        fillvalue=0,
+    )
+    return tuple(k for k, (whole, kept, partial) in enumerate(rows, start=1)
+                 if whole != kept + partial)
+
+
+def verify_split_identity(arr: Arrangement, k: int) -> bool:
+    """Evaluate f_k(B) == f_k(B') + f_{k-1}(B'') with the split taken at the
+    exposed box (see `split_identity_failures`)."""
+    if not 1 <= k <= arr.n - 1:
+        raise ValueError(f"need 1 <= k <= n-1 = {arr.n - 1}, got {k}")
+    return k not in split_identity_failures(arr)
 
 
 def e_upper_recurrence(n: int, r: int, d: int) -> int:

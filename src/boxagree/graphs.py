@@ -508,7 +508,7 @@ def _orbit_roots(n: int, generators) -> list[int]:
 
 
 def _canonical_labelling(
-    n: int, adj: tuple[int, ...]
+    n: int, adj: tuple[int, ...], root: list[int] | None = None
 ) -> tuple[bytes, list[int], list[tuple[int, ...]]]:
     """Certificate, canonical vertex order and automorphism generators.
 
@@ -526,8 +526,11 @@ def _canonical_labelling(
     sibling under the recorded automorphisms that fix the node's
     individualized vertices.  The generators found this way generate the
     whole automorphism group.
+
+    `root` is `_root_partition(n, adj)` when the caller has it already; the
+    search only reads it.
     """
-    cells = _root_partition(n, adj)
+    cells = _root_partition(n, adj) if root is None else root
     leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     generators: list[tuple[int, ...]] = []
     best_key: tuple[int, ...] | None = None  # least relabelled graph

@@ -258,8 +258,9 @@ def enumerate_agreeable(n: int, r: int) -> SearchCertificate:
     automorphism of the child fixes gives a rigid child; and the new vertex
     is canonical when its first top-score cell is {v}, and is not when v
     lies outside it.  `labellings` counts the full labellings the rest
-    need, parents for an orbit test and children for a tie; a labelled
-    child serves as a parent on the next level.  `level_sizes` counts the
+    need, parents for an orbit test and children for a tie, each started
+    from the root partition the test already refined; a labelled child
+    serves as a parent on the next level.  `level_sizes` counts the
     classes on 1..n vertices; the survivors are re-validated through the
     public queries and sorted by certificate.
     """
@@ -338,12 +339,12 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
                     continue
                 if parent_aut is None:
                     if root is None:
-                        root = [c for c in _root_partition(k, adj) if c]
-                        if len(root) == k:  # a discrete root partition: G is rigid
+                        root = _root_partition(k, adj)
+                        if all(root):  # a discrete root partition: G is rigid
                             parent_aut = []
                     # a union of root cells is fixed by Aut(G): its own orbit
                     if parent_aut is None and any(attach & c not in (0, c) for c in root):
-                        parent_aut = _canonical_labelling(k, adj)[2]
+                        parent_aut = _canonical_labelling(k, adj, root)[2]
                         work["labellings"] += 1
                 if parent_aut is not None and \
                         _set_orbit_min(attach, parent_aut, orbit_min) != attach:
@@ -353,13 +354,14 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
                 if score.count(top) > 1:
                     # the first top-score vertex in canonical order lies in
                     # the first top-score cell of the root partition
-                    cell = next(c for c in _root_partition(k + 1, newadj)
+                    cells = _root_partition(k + 1, newadj)
+                    cell = next(c for c in cells
                                 if c and score[(c & -c).bit_length() - 1] == top)
                     if not cell >> k & 1:
                         work["not_canonical"] += 1
                         continue
                     if cell != 1 << k:
-                        _, order, child_aut = _canonical_labelling(k + 1, newadj)
+                        _, order, child_aut = _canonical_labelling(k + 1, newadj, cells)
                         work["labellings"] += 1
                         first = next(v for v in order if score[v] == top)
                         roots = _orbit_roots(k + 1, child_aut)
@@ -443,12 +445,20 @@ def min_agreement_proportion(r: int, d_constraint: int | None = None) -> Proport
 
 
 def verify_main_theorem(d: int, r: int) -> bool:
-    """Check the 1/(2d) bound on the computed minimum and re-run the proof
-    chain on every minimizer: no universal vertices, the boxicity lower
-    bound n/(2(n - delta - 1)) <= d, and omega >= n - delta - 1."""
+    """`main_theorem_holds` on the minimum over clique number <= r and
+    boxicity <= d."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    result = min_agreement_proportion(r, d)
+    return main_theorem_holds(min_agreement_proportion(r, d), d)
+
+
+def main_theorem_holds(result: ProportionResult, d: int) -> bool:
+    """Check the 1/(2d) bound on a minimum computed under the boxicity cap d
+    and re-run the proof chain on every minimizer: no universal vertices,
+    the boxicity lower bound n/(2(n - delta - 1)) <= d, and
+    omega >= n - delta - 1."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     if result.value < Fraction(1, 2 * d):
         return False
     for g in result.minimizers:

@@ -16,8 +16,8 @@ from .exposure import (
     e_upper_recurrence,
     find_exposed,
     split,
+    split_identity_failures,
     validate_exposure,
-    verify_split_identity,
 )
 from .geometry import (
     agreement_number,
@@ -38,8 +38,8 @@ from .search import (
     default_eta_table,
     enumerate_agreeable,
     eta_upper,
+    main_theorem_holds,
     min_agreement_proportion,
-    verify_main_theorem,
 )
 
 #: Printed comparison-table values: d -> (1/(2d) at 1-3 decimals, iterated
@@ -247,12 +247,14 @@ def run_paper_checks() -> list[CheckResult]:
     present = sum(1 for b in pieces.values() if b is not None)
     _check(results, "fig38a split degree", present == 4,
            f"{present} present entries at exposed box {idx}")
-    ok_split = all(
-        verify_split_identity(arr, k)
-        for arr in (z5, a38, b38, expo)
-        for k in range(1, arr.n)
-    )
-    _check(results, "split identity on fixtures", ok_split, "all k")
+    ok_split = True
+    split_detail = []
+    for name, arr in (("z5", z5), ("fig38a", a38), ("fig38b", b38), ("exposure", expo)):
+        failures = split_identity_failures(arr)
+        ok_split = ok_split and not failures
+        split_detail.append(f"{name} k=1..{arr.n - 1}"
+                            + (f" fails at k={list(failures)}" if failures else " holds"))
+    _check(results, "split identity on fixtures", ok_split, "; ".join(split_detail))
 
     rec = e_upper_recurrence(8, 3, 2)
     _check(results, "edge recurrence at n=8", rec == 23 and rec >= 17,
@@ -278,8 +280,11 @@ def run_paper_checks() -> list[CheckResult]:
     planar = min_agreement_proportion(2, 2)
     _check(results, "planar minimum", planar.value == Fraction(2, 5),
            f"rho(2,2) = {planar.value}")
-    _check(results, "main theorem d=1", verify_main_theorem(1, 2), "rho >= 1/2")
-    _check(results, "main theorem d=2", verify_main_theorem(2, 2), "rho >= 1/4")
+    # each walk above serves its main-theorem check too
+    _check(results, "main theorem d=1", main_theorem_holds(lin, 1),
+           f"rho(2,1) = {lin.value} >= 1/2")
+    _check(results, "main theorem d=2", main_theorem_holds(planar, 2),
+           f"rho(2,2) = {planar.value} >= 1/4")
 
     return results
 

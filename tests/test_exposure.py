@@ -10,6 +10,7 @@ from boxagree import (
     e_upper_recurrence,
     find_exposed,
     split,
+    split_identity_failures,
     validate_exposure,
     verify_split_identity,
 )
@@ -108,6 +109,7 @@ def test_split_identity_randomized():
             continue
         for k in range(1, arr.n):
             assert verify_split_identity(arr, k)
+        assert split_identity_failures(arr) == ()
 
 
 def test_exposure_certificates_randomized():

@@ -21,7 +21,7 @@ from boxagree import (
 )
 from boxagree import fixtures
 from boxagree import graphs
-from boxagree.graphs import _canonical_labelling, _cliques_within
+from boxagree.graphs import _canonical_labelling, _cliques_within, _root_partition
 
 from helpers import (
     automorphism_orbits_oracle,
@@ -390,7 +390,8 @@ def test_canonical_k_partite_relabelled(d):
 
 def test_labelling_identical_under_the_general_refinement(monkeypatch):
     # the singleton-splitter AND and the skip of cells outside the
-    # splitter's reach must not change a certificate, order or generator
+    # splitter's reach must not change a certificate, order or generator,
+    # nor must handing the labeller a root partition computed beforehand
     rng = Random(31)
     cases = [random_graph(rng, max_n=16, p=rng.choice((0.2, 0.5, 0.8)))
              for _ in range(1000)]
@@ -398,6 +399,8 @@ def test_labelling_identical_under_the_general_refinement(monkeypatch):
     cases += [fixtures.expected_graph(name) for name, _ in fixtures.names()
               if name not in ("k_partite", "two_camps")]
     fast = [_canonical_labelling(g.n, g._adj) for g in cases]
+    assert fast == [_canonical_labelling(g.n, g._adj, _root_partition(g.n, g._adj))
+                    for g in cases]
     monkeypatch.setattr(graphs, "_refine", refine_oracle)
     general = [_canonical_labelling(g.n, g._adj) for g in cases]
     assert fast == general

@@ -12,6 +12,8 @@ from boxagree import (
     enumerate_agreeable,
     eta_upper,
     is_agreeable,
+    ProportionResult,
+    main_theorem_holds,
     min_agreement_proportion,
     verify_main_theorem,
 )
@@ -335,6 +337,14 @@ def test_verify_main_theorem_small_cases():
 
 def test_verify_main_theorem_plane_omega_three():
     assert verify_main_theorem(2, 3)
+
+
+def test_main_theorem_holds_rejects_a_value_below_the_bound():
+    planar = min_agreement_proportion(2, 2)
+    assert main_theorem_holds(planar, 2)
+    assert not main_theorem_holds(ProportionResult(Fraction(1, 5), (), ()), 2)
+    with pytest.raises(ValueError):
+        main_theorem_holds(planar, 0)
 
 
 def test_min_proportion_matches_theorem_bound():
