@@ -10,10 +10,14 @@ closes g under an order, and one DP over vertex subsets (Bodlaender et al.
 2012) finds them all, for every d at once.  Every order of a placed set P
 turns the non-edges between two vertices with neighbours outside P into
 axis edges, so once one order of P adds no more than those, the DP closes
-P without looking at its other orders.  A cover then picks at most d of
-the maximal masks that together separate every non-edge, and the clique
-orders of their axis graphs place the witness boxes.  At d = 1 the one
-axis separates every non-edge, so g itself is tested for being interval.
+P without looking at its other orders.  The DP runs top-down from the full
+set, so a placed set that no larger one asks for is never built; the
+budget is still charged the worst case, paid before the DP starts, so
+`nodes` does not depend on how many sets it builds (`dp_sets` counts
+those).  A cover then picks at most d of the maximal masks that together
+separate every non-edge, and the clique orders of their axis graphs place
+the witness boxes.  At d = 1 the one axis separates every non-edge, so g
+itself is tested for being interval.
 
 "No" comes only from a finished DP and cover; a budget too small for them
 yields "inconclusive".  Every "yes" carries a realizing arrangement whose
@@ -38,11 +42,15 @@ class BudgetExhausted(Exception):
 
 
 class _Budget:
-    __slots__ = ("remaining", "spent")
+    """The node budget of one call, and the work it has seen done: `spent`
+    nodes, and `dp_sets` placed sets the DP evaluated."""
+
+    __slots__ = ("remaining", "spent", "dp_sets")
 
     def __init__(self, limit: int) -> None:
         self.remaining = limit
         self.spent = 0
+        self.dp_sets = 0
 
     def spend(self, k: int = 1) -> None:
         if k > self.remaining:
@@ -55,7 +63,8 @@ class _Budget:
 class BoxicityDecision:
     status: str  # "yes" | "no" | "inconclusive"
     witness: Arrangement | None
-    nodes: int
+    nodes: int  # budget spent, the DP's worst-case charge included
+    dp_sets: int = 0  # nonempty placed sets the DP evaluated
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,7 @@ class BoxicityReport:
     witness: Arrangement | None
     notes: tuple[str, ...] = ()
     nodes: int = 0  # budget spent across the whole report
+    dp_sets: int = 0  # nonempty placed sets its DP evaluated
 
 
 def adiga_lower_bound(g: Graph) -> int:
@@ -141,15 +151,20 @@ def _masks(g: Graph, tracker: _Budget) -> tuple[list[tuple[int, int]], list[int]
     separate) is interval.  Bit i of a mask is the i-th non-edge.
 
     Placing v after the set P adds the non-edges uv with u in P and N(u)
-    not inside P, so `layer` maps each P to the non-edges at its open
-    vertices (those with a neighbour outside P) and the minimal sets its
-    orders add, pulled from the sets P - v.  Every order of P adds
-    forced(P), the non-edges joining two open vertices: the earlier one
-    still has a neighbour to place when the later one is placed.  So once
-    some P - v yields a set equal to forced(P), that set is P's only
-    minimal one and the other P - v are skipped.  Universal vertices add
-    nothing and start placed; the m others visit at most m 2^(m-1) pairs
-    (P, v), paid for before the DP starts.
+    not inside P, so `solve(P)` gives the non-edges at P's open vertices
+    (those with a neighbour outside P) and the minimal sets P's orders add,
+    pulled from the sets P - v in ascending order of v.  Every order of P
+    adds forced(P), the non-edges joining two open vertices: the earlier
+    one still has a neighbour to place when the later one is placed.  So
+    once some P - v yields a set equal to forced(P), that set is P's only
+    minimal one and the other P - v are never asked for.  Evaluated from
+    the full set down and memoised within this call, the DP builds only
+    the sets some larger set asks for, and each of them gets the same
+    minimal sets as in a level-by-level pass over all 2^m.  Universal
+    vertices add nothing and start placed; the m others could visit
+    m 2^(m-1) pairs (P, v), and that worst case is charged before the DP
+    starts.  The sets built, the empty one aside, count in
+    `tracker.dp_sets`.
     """
     n, adj = g.n, g._adj
     non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not adj[u] >> v & 1]
@@ -172,34 +187,34 @@ def _masks(g: Graph, tracker: _Budget) -> tuple[list[tuple[int, int]], list[int]
     nbrs0, nbrs1 = _unions(nbrs[:h]), _unions(nbrs[h:])
     low0, low1 = _unions(low[:h]), _unions(low[h:])
     high0, high1 = _unions(high[:h]), _unions(high[h:])
-    layer = {0: (0, [0])}
-    for _ in range(m):
-        nxt: dict[int, tuple[int, list[int]]] = {}
-        for base in layer:
-            for top in range(base.bit_length(), m):  # each P once, as base + its top vertex
-                placed = base | 1 << top
-                rest = everyone ^ placed
-                open_ = placed & (nbrs0[rest & split] | nbrs1[rest >> h])
-                lo = low0[open_ & split] | low1[open_ >> h]
-                hi = high0[open_ & split] | high1[open_ >> h]
-                forced = lo & hi
-                found: list[int] = []
-                left = placed
-                while left:
-                    bit = left & -left
-                    left ^= bit
-                    pending, added = layer[placed ^ bit]
-                    extra = pending & sep[bit.bit_length() - 1]
-                    if added[0] | extra == forced:  # no order of P adds less
-                        found = [forced]
-                        break
-                    found += [a | extra for a in added]
-                else:
-                    found = _minimal(found)
-                nxt[placed] = (lo | hi, found)
-        layer = nxt
+    memo = {0: (0, [0])}  # P -> (non-edges at P's open vertices, P's minimal added sets)
+
+    def solve(placed: int) -> tuple[int, list[int]]:
+        rest = everyone ^ placed
+        open_ = placed & (nbrs0[rest & split] | nbrs1[rest >> h])
+        lo = low0[open_ & split] | low1[open_ >> h]
+        hi = high0[open_ & split] | high1[open_ >> h]
+        forced = lo & hi
+        found: list[int] = []
+        left = placed
+        while left:
+            bit = left & -left
+            left ^= bit
+            pending, added = memo.get(placed ^ bit) or solve(placed ^ bit)
+            extra = pending & sep[bit.bit_length() - 1]
+            if added[0] | extra == forced:  # no order of P adds less
+                found = [forced]
+                break
+            found += [a | extra for a in added]
+        else:
+            found = _minimal(found)
+        memo[placed] = result = (lo | hi, found)
+        return result
+
+    top = solve(everyone)[1]
+    tracker.dp_sets += len(memo) - 1
     full = (1 << len(non_edges)) - 1
-    return non_edges, sorted((full ^ a for a in layer[everyone][1]), reverse=True)
+    return non_edges, sorted((full ^ a for a in top), reverse=True)
 
 
 def _cover(g: Graph, d: int, non_edges: list[tuple[int, int]], masks: list[int],
@@ -228,8 +243,12 @@ def _cover(g: Graph, d: int, non_edges: list[tuple[int, int]], masks: list[int],
         return None
     orders = []
     for m in chosen:  # each axis graph keeps the non-edges its mask does not separate
-        kept = tuple((u + 1, v + 1) for i, (u, v) in enumerate(non_edges) if not m >> i & 1)
-        orders.append(interval_clique_order(Graph(g.n, g.edges() + kept)))
+        adj = list(g._adj)
+        for i, (u, v) in enumerate(non_edges):
+            if not m >> i & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        orders.append(interval_clique_order(Graph.from_masks(g.n, adj)))
     return _build_witness(g, d, orders)
 
 
@@ -250,8 +269,9 @@ def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> Boxic
         witness = (_interval_witness(g, tracker) if d == 1
                    else _cover(g, d, *_masks(g, tracker), tracker))
     except BudgetExhausted:
-        return BoxicityDecision("inconclusive", None, tracker.spent)
-    return BoxicityDecision("no" if witness is None else "yes", witness, tracker.spent)
+        return BoxicityDecision("inconclusive", None, tracker.spent, tracker.dp_sets)
+    return BoxicityDecision("no" if witness is None else "yes", witness, tracker.spent,
+                            tracker.dp_sets)
 
 
 def boxicity_report(g: Graph, budget: int = DEFAULT_BUDGET) -> BoxicityReport:
@@ -259,7 +279,7 @@ def boxicity_report(g: Graph, budget: int = DEFAULT_BUDGET) -> BoxicityReport:
     search can close the gap within budget.  One DP serves every d >= 2;
     the budget covers the whole report, and `nodes` is what it spent."""
     tracker = _Budget(budget)
-    return replace(_report(g, tracker), nodes=tracker.spent)
+    return replace(_report(g, tracker), nodes=tracker.spent, dp_sets=tracker.dp_sets)
 
 
 def _report(g: Graph, tracker: _Budget) -> BoxicityReport:

@@ -82,6 +82,7 @@ def cmd_analyze(args) -> int:
             "upper": rep.upper,
             "exact": rep.exact,
             "nodes": rep.nodes,
+            "dp_sets": rep.dp_sets,
             "notes": list(rep.notes),
         }
     if args.json:

@@ -213,16 +213,42 @@ def test_masks_match_scan_oracle_on_fixtures_and_seeded_graphs():
 
 def test_masks_match_layered_oracle_at_bench_scale():
     # the scan oracle stops near 16 non-edges; the push DP reaches the
-    # 10-12 vertex, 10-20 non-edge graphs the decisions meet in practice
-    graphs = [fixtures.load("fig134"), fixtures.k_partite(5), fixtures.k_partite(6)]
+    # 10-12 vertex, 10-20 non-edge graphs the decisions meet in practice,
+    # and the sparse ones (the 10-cycle, G(10, 0.3)) where few placed sets
+    # close at their forced set, so the lazy DP visits most of them
+    graphs = [fixtures.load("fig134"), fixtures.k_partite(5), fixtures.k_partite(6),
+              fixtures.k_partite(7), cycle(10)]
     rng = Random(2718)
-    while len(graphs) < 3 + 40:
+    while len(graphs) < 5 + 40:
         n = rng.randint(10, 12)
         pairs = list(combinations(range(1, n + 1), 2))
         missing = set(rng.sample(pairs, rng.randint(10, 20)))
         graphs.append(Graph(n, [p for p in pairs if p not in missing]))
+    graphs += [Graph(10, [p for p in combinations(range(1, 11), 2) if rng.random() < 0.3])
+               for _ in range(10)]
     for g in graphs:
         assert _masks(g, _Budget(DEFAULT_BUDGET))[1] == layered_masks_oracle(g), g
+
+
+def test_dp_evaluates_only_the_placed_sets_the_full_set_asks_for():
+    # (graph, d, nonempty placed sets evaluated); the charge stays the worst
+    # case, m 2^(m-1) for m non-universal vertices, of 2^m - 1 sets
+    cases = [(fixtures.load("fig38c"), 2, 133, 8),
+             (fixtures.load("fig134"), 3, 1300, 13),
+             (fixtures.k_partite(8), 7, 136, 16)]
+    for g, d, dp_sets, m in cases:
+        decision = decide_boxicity_leq(g, d)
+        assert (decision.status, decision.dp_sets) == ("no", dp_sets), g
+        assert decision.nodes > m << m - 1
+    # a report runs one DP; k_partite 8 settles without one, at its bounds
+    assert [boxicity_report(g).dp_sets for g, _, _, _ in cases] == [133, 1300, 0]
+    # 20 vertices: the charge is 20 * 2^19 nodes, but few of the 2^20 sets are built
+    decision = decide_boxicity_leq(fixtures.k_partite(10), 9)
+    assert decision.status == "no"
+    assert decision.dp_sets < 1000
+    # past 23 non-universal vertices the charge alone exceeds the default budget
+    decision = decide_boxicity_leq(fixtures.k_partite(12), 11)
+    assert (decision.status, decision.nodes, decision.dp_sets) == ("inconclusive", 0, 0)
 
 
 def _olariu_added(nbrs, order):

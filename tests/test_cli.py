@@ -58,6 +58,8 @@ def test_analyze_graph_file_with_boxicity(tmp_path, capsys):
     boxicity = json.loads(out)["boxicity"]
     assert boxicity["exact"] == 2
     assert boxicity["nodes"] > 0
+    # fig38b has 8 non-universal vertices: 131 of the 255 placed sets
+    assert boxicity["dp_sets"] == 131
 
 
 def test_analyze_disagreeable_triple(tmp_path, capsys):
