@@ -299,10 +299,9 @@ def _report(g: Graph, tracker: _Budget) -> BoxicityReport:
             notes.append(
                 f"adiga bound computed on the graph with {k} universal vertices removed"
             )
-        if not stripped.is_complete():
-            adiga = adiga_lower_bound(stripped)
-            lower = max(lower, adiga)
-            notes.append(f"adiga lower bound {adiga}")
+        adiga = adiga_lower_bound(stripped)
+        lower = max(lower, adiga)
+        notes.append(f"adiga lower bound {adiga}")
         if lower >= upper:
             notes.append("bounds meet: exact without search")
             return BoxicityReport(lower, upper, upper, None, tuple(notes))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import fixtures, formats, verify
-from .boxicity import DEFAULT_BUDGET, boxicity_report, decide_boxicity_leq
+from .boxicity import DEFAULT_BUDGET, BoxicityReport, boxicity_report, decide_boxicity_leq
 from .geometry import Arrangement, f_vector, intersection_graph
 from .graphs import Graph, clique_number, degree_profile, is_agreeable
 from .search import default_eta_table, enumerate_agreeable
@@ -75,8 +75,8 @@ def cmd_analyze(args) -> int:
     if isinstance(obj, Arrangement):
         report["dimension"] = obj.dimension
         report["f_vector"] = list(f_vector(obj).entries)
-    if args.boxicity:
-        rep = boxicity_report(g, args.boxicity_budget)
+    rep = boxicity_report(g, args.boxicity_budget) if args.boxicity else None
+    if rep is not None:
         report["boxicity"] = {
             "lower": rep.lower,
             "upper": rep.upper,
@@ -99,14 +99,16 @@ def cmd_analyze(args) -> int:
     print(f"degrees: min {profile.min_degree}, max {profile.max_degree}")
     if "f_vector" in report:
         print(f"f-vector: {report['f_vector']}")
-    if "boxicity" in report:
-        b = report["boxicity"]
-        exact = b["exact"] if b["exact"] is not None else "undetermined"
-        print(f"boxicity: lower {b['lower']}, upper {b['upper']}, exact {exact} "
-              f"({b['nodes']} nodes)")
-        for note in b["notes"]:
-            print(f"  - {note}")
+    if rep is not None:
+        _print_report(rep, "boxicity: ")
     return 0
+
+
+def _print_report(rep: BoxicityReport, prefix: str = "") -> None:
+    exact = rep.exact if rep.exact is not None else "undetermined"
+    print(f"{prefix}lower {rep.lower}, upper {rep.upper}, exact {exact} ({rep.nodes} nodes)")
+    for note in rep.notes:
+        print(f"  - {note}")
 
 
 def cmd_bounds(args) -> int:
@@ -150,11 +152,7 @@ def cmd_boxicity(args) -> int:
         if decision.witness is not None:
             print(formats.serialize_arrangement(decision.witness), end="")
         return 0 if decision.status != "inconclusive" else CHECK_FAILURE
-    rep = boxicity_report(g, args.budget)
-    exact = rep.exact if rep.exact is not None else "undetermined"
-    print(f"lower {rep.lower}, upper {rep.upper}, exact {exact} ({rep.nodes} nodes)")
-    for note in rep.notes:
-        print(f"  - {note}")
+    _print_report(boxicity_report(g, args.budget))
     return 0
 
 

@@ -3,12 +3,13 @@ fall out of the split identity f_k(B) = f_k(B') + f_{k-1}(B'').
 
 A box is exposed when an axis-parallel hyperplane supports it and every box
 missing that hyperplane lies in the opposite half-space.  The box whose
-lower endpoint on some axis is maximal is always exposed by the hyperplane
-through that endpoint.  Note the naive sweep picture (move a hyperplane in
-from infinity; the first box it touches is exposed) picks the maximal
-*upper* endpoint instead and can fail the opposite-side condition, e.g. for
-[0,10] and [2,3] on a line; hence the extremal-lower-endpoint rule here,
-with an independent validator guarding every certificate.
+lower endpoint c on axis 1 is largest is exposed by {x_1 = c}: every other
+box has lo <= c, so one that misses the hyperplane has hi < c and lies on
+the far side.  That one candidate is all `find_exposed` builds, and an
+independent validator still checks it.  Note the naive sweep picture (move
+a hyperplane in from infinity; the first box it touches is exposed) picks
+the largest *upper* endpoint instead and can fail the opposite-side
+condition, e.g. for [0,10] and [2,3] on a line.
 """
 
 from __future__ import annotations
@@ -63,28 +64,14 @@ def validate_exposure(arr: Arrangement, cert: ExposureCertificate) -> bool:
 
 
 def find_exposed(arr: Arrangement) -> ExposureCertificate:
-    """First valid certificate in (axis, lower-before-upper, lowest index)
-    order.  The lower-face candidate on an axis is the box with the maximal
-    lower endpoint there; the upper-face mirror minimizes the upper
-    endpoint.  One of these always validates."""
-    for axis in range(1, arr.dimension + 1):
-        for side in ("lower", "upper"):
-            if side == "lower":
-                value = max(b.sides[axis - 1].lo for b in arr.boxes)
-                idx = next(
-                    i for i in range(1, arr.n + 1)
-                    if arr.box(i).sides[axis - 1].lo == value
-                )
-            else:
-                value = min(b.sides[axis - 1].hi for b in arr.boxes)
-                idx = next(
-                    i for i in range(1, arr.n + 1)
-                    if arr.box(i).sides[axis - 1].hi == value
-                )
-            cert = ExposureCertificate(idx, axis, side, value)
-            if validate_exposure(arr, cert):
-                return cert
-    raise RuntimeError("no exposed box found; arrangement state corrupt")  # pragma: no cover
+    """The lemma's certificate: axis 1, lower face, the least index whose
+    lower endpoint there is the largest, c; the hyperplane is {x_1 = c}."""
+    lows = [b.sides[0].lo for b in arr.boxes]
+    c = max(lows)
+    cert = ExposureCertificate(lows.index(c) + 1, 1, "lower", c)
+    if not validate_exposure(arr, cert):  # pragma: no cover - see the module docstring
+        raise RuntimeError("no exposed box found; arrangement state corrupt")
+    return cert
 
 
 def split(arr: Arrangement, i: int) -> tuple[Arrangement, dict[int, Box | None]]:

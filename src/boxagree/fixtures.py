@@ -145,8 +145,6 @@ _EXPECTED_EDGES = {
     "z5": _Z5_EDGES,
     "fig38a": _FIG38A_EDGES,
     "fig38b": _FIG38B_EDGES,
-    "fig38c": _FIG38C_EDGES,
-    "w4": _W4_EDGES,
     "exposure": _EXPOSURE_EDGES,
 }
 
@@ -188,12 +186,11 @@ def load(name: str) -> Arrangement | Graph:
 
 
 def expected_graph(name: str) -> Graph:
-    """The registered intersection graph of a fixture (independent of the
-    geometry, so arrangement fixtures can be cross-checked against it)."""
+    """The registered intersection graph of an arrangement fixture, built
+    from its edge list independently of the geometry, so that the two can
+    be cross-checked; a graph fixture is its own."""
     if name in _EXPECTED_EDGES:
         return Graph(_STATIC[name][0].n, _EXPECTED_EDGES[name])
-    if name == "fig134":
-        return _STATIC["fig134"][0]
     obj = load(name)
     if isinstance(obj, Graph):
         return obj

@@ -90,9 +90,6 @@ class Box:
     def dimension(self) -> int:
         return len(self.sides)
 
-    def intersect(self, other: Box) -> Box | None:
-        return intersect_boxes(self, other)
-
     def contains(self, point: tuple[Fraction, ...]) -> bool:
         if len(point) != self.dimension:
             raise ValueError("point dimension mismatch")

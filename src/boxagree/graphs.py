@@ -45,9 +45,6 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def adjacency_mask(self, v: int) -> int:
-        return self._adj[v - 1]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u - 1] >> (v - 1) & 1)
 
@@ -278,16 +275,15 @@ def clique_counts(g: Graph) -> list[int]:
 def is_agreeable(g: Graph, k: int, m: int) -> bool:
     """True iff every m-subset of vertices contains a k-clique.
 
-    Vacuously true when m exceeds the vertex count.  The (2,3) case is
-    answered through the complement: g has no independent triple exactly
-    when its complement has no triangle.
+    Vacuously true when m exceeds the vertex count.  Every k = 2 query is
+    answered through the complement: every m-subset holds an edge exactly
+    when no m vertices are independent, that is when the complement's
+    clique number is below m.  Only k >= 3 scans the m-subsets.
     """
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
-    if m > g.n:
-        return True
-    if (k, m) == (2, 3):
-        return clique_number(g.complement()) <= 2
+    if k == 2:
+        return clique_number(g.complement()) < m
     for subset in combinations(range(1, g.n + 1), m):
         mask = 0
         for v in subset:

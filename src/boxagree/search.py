@@ -266,7 +266,7 @@ def enumerate_agreeable(n: int, r: int) -> SearchCertificate:
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n, r >= 1, got n={n}, r={r}")
-    work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0}
+    work: dict[str, int] = {}
     sizes = []
     for level in _levels(n, r, work):
         sizes.append(len(level))
@@ -305,10 +305,16 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
     `enumerate_agreeable`, each a list of (adjacency rows, automorphism
     generators or None until labelled, r-cliques), one per isomorphism
     class.  `work` counts the attachments "examined", those pruned by each
-    rule, and the full "labellings".  Given `dim`, a child that passes the
-    canonicity tests is kept only if its boxicity is at most `dim` (exact,
-    as its canonical parent then is too), else it counts under "boxicity";
-    a decision on <= 13 vertices charges the DP at most 13 * 2^12 nodes."""
+    rule, and the full "labellings", creating each key it counts.  Given
+    `dim`, a child that passes the canonicity tests is kept only if its
+    boxicity is at most `dim` (exact, as its canonical parent then is too),
+    else it counts under "boxicity"; at `dim` 1 the interval test alone
+    decides, and above it a decision on <= 13 vertices charges the DP at
+    most 13 * 2^12 nodes."""
+    for key in ("examined", "labellings", "orbit", "not_canonical"):
+        work.setdefault(key, 0)
+    if dim is not None:
+        work.setdefault("boxicity", 0)
     degree_cap = default_eta_table().entry(r - 1).upper_bound
     level: list[tuple[tuple[int, ...], list | None, list[int]]] = [
         ((0,), [], [1] if r == 1 else [])]  # one vertex
@@ -371,7 +377,7 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
                 if dim is not None:
                     g = Graph.from_masks(k + 1, newadj)
                     if roberts_upper_bound(g) > dim and not is_interval_graph(g):
-                        status = decide_boxicity_leq(g, dim).status
+                        status = "no" if dim == 1 else decide_boxicity_leq(g, dim).status
                         if status == "inconclusive":
                             raise RuntimeError(
                                 f"boxicity of {g!r} undecided within the default budget")
@@ -428,7 +434,7 @@ def min_agreement_proportion(r: int, d_constraint: int | None = None) -> Proport
     best: Fraction | None = None
     minimizers: list[Graph] = []
     sizes = []
-    work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0, "boxicity": 0}
+    work: dict[str, int] = {}
     for n, level in enumerate(_levels(table.confirmed(r), r, work, d_constraint), start=1):
         sizes.append(len(level))
         for g in _survivors(n, r, level):

@@ -26,7 +26,7 @@ def test_exposure_figure_claim_validates():
 
 
 def test_find_exposed_scan_order_on_figure():
-    # the axis-1 lower-face extremum comes first in scan order: box 3 at x=5/2
+    # the lemma's candidate is the axis-1 lower-face extremum: box 3 at x=5/2
     cert = find_exposed(fixtures.load("exposure"))
     assert (cert.box_index, cert.axis, cert.side) == (3, 1, "lower")
     assert cert.coordinate == Fraction(5, 2)
@@ -117,6 +117,27 @@ def test_exposure_certificates_randomized():
     for _ in range(200):
         arr = random_arrangement(rng, max_n=8, max_d=4)
         assert validate_exposure(arr, find_exposed(arr))
+
+
+def test_find_exposed_is_the_lemma_candidate():
+    # axis 1, lower face, the largest lower endpoint and the least index
+    # reaching it; a narrow coordinate range makes zero-width sides and
+    # ties common, and some boxes are repeated outright
+    rng = Random(42)
+    zero_width = repeated = 0
+    for _ in range(2000):
+        arr = random_arrangement(rng, max_n=7, max_d=3, coord_range=3)
+        boxes = list(arr.boxes)
+        for _ in range(rng.randint(0, 3)):
+            boxes.insert(rng.randint(0, len(boxes)), rng.choice(boxes))
+        arr = Arrangement(arr.dimension, tuple(boxes))
+        zero_width += any(s.lo == s.hi for b in boxes for s in b.sides)
+        repeated += len(set(boxes)) < len(boxes)
+        lows = [b.sides[0].lo for b in boxes]
+        cert = find_exposed(arr)
+        assert cert == ExposureCertificate(lows.index(max(lows)) + 1, 1, "lower", max(lows))
+        assert validate_exposure(arr, cert)
+    assert zero_width > 1000 and repeated > 1000
 
 
 # -- recurrences ---------------------------------------------------------------

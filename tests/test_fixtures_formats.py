@@ -73,6 +73,27 @@ def test_graph_fixtures_are_agreeable():
         assert is_agreeable(fixtures.load(name), 2, 3)
 
 
+def test_graph_fixtures_are_their_own_expected_graphs():
+    static = [name for name, _ in fixtures.names() if name not in ("k_partite", "two_camps")]
+    graph_names = [name for name in static if isinstance(fixtures.load(name), Graph)]
+    assert sorted(graph_names) == ["fig134", "fig38c", "w4"]
+    for name in graph_names + ["k_partite 2", "k_partite 5"]:
+        assert fixtures.expected_graph(name) == fixtures.load(name)
+    # the edge lists these fixtures were registered with, written out again
+    fig38a = [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 7), (2, 8),
+              (3, 5), (3, 7), (4, 6), (4, 8), (5, 6), (5, 7), (6, 8), (7, 8)]
+    assert fixtures.expected_graph("fig38c") == Graph(8, fig38a + [(1, 2), (6, 7)])
+    assert fixtures.expected_graph("w4") == Graph(
+        5, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (2, 5), (3, 5), (4, 5)])
+    fig134_complement = Graph(13, [
+        (1, 2), (1, 3), (1, 7), (1, 9), (2, 4), (2, 8), (2, 10), (3, 4), (3, 6),
+        (3, 12), (4, 5), (4, 11), (5, 7), (5, 9), (5, 12), (6, 8), (6, 9), (6, 10),
+        (7, 10), (7, 11), (8, 11), (8, 12), (9, 13), (10, 13), (11, 13), (12, 13)])
+    assert fixtures.expected_graph("fig134") == fig134_complement.complement()
+    with pytest.raises(fixtures.UnknownFixtureError):
+        fixtures.expected_graph("two_camps 2")
+
+
 # -- arrangement format -------------------------------------------------------------
 
 

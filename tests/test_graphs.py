@@ -1,5 +1,6 @@
 import math
 import time
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -175,6 +176,17 @@ def test_is_agreeable_general_km():
                   if (u, v) != (1, 2)])
     assert is_agreeable(g, 3, 4)
     assert not is_agreeable(cycle(6), 3, 4)
+
+
+def test_is_agreeable_k2_matches_subset_scan():
+    # every m-subset holds an edge, checked pair by pair
+    rng = Random(14)
+    for _ in range(60):
+        g = random_graph(rng, max_n=9, p=rng.choice((0.3, 0.5, 0.7)))
+        for m in range(2, 6):
+            brute = all(any(g.has_edge(u, v) for u, v in combinations(subset, 2))
+                        for subset in combinations(range(1, g.n + 1), m))
+            assert is_agreeable(g, 2, m) == brute, (g, m)
 
 
 def test_agreeable_matches_triple_scan_random():

@@ -112,6 +112,19 @@ def test_levels_carry_true_automorphism_orbits():
     assert carried > 0
 
 
+def test_levels_create_their_counters():
+    # an empty dict is enough, with or without the boxicity filter
+    work = {}
+    sizes = [len(level) for level in search._levels(8, 4, work, dim=1)]
+    assert tuple(sizes) == min_agreement_proportion(4, 1).level_sizes[:8]
+    assert set(work) == {"examined", "labellings", "orbit", "not_canonical", "boxicity"}
+    assert work["boxicity"] > 0
+    work = {}
+    sizes = [len(level) for level in search._levels(6, 2, work)]
+    assert tuple(sizes) == enumerate_agreeable(6, 2).level_sizes
+    assert set(work) == {"examined", "labellings", "orbit", "not_canonical"}
+
+
 @pytest.mark.parametrize(("r", "d"), [(r, d) for r in (1, 2, 3) for d in (1, 2, 3)] + [(4, 1)])
 def test_capped_levels_match_the_post_hoc_filter(r, d):
     # box <= d is hereditary, so filtering inside the walk keeps the same
@@ -297,9 +310,10 @@ def test_min_proportion_inconclusive_boxicity_names_the_graph(monkeypatch):
         asked.append(g)
         return BoxicityDecision("inconclusive", None, 0)
 
+    # at d = 1 the interval test alone decides, so the walk asks at d = 2
     monkeypatch.setattr(search, "decide_boxicity_leq", inconclusive)
     with pytest.raises(RuntimeError) as err:
-        min_agreement_proportion(2, 1)
+        min_agreement_proportion(3, 2)
     assert len(asked) == 1
     assert repr(asked[0]) in str(err.value)
 
@@ -310,7 +324,17 @@ def test_min_proportion_lets_a_decision_error_through(monkeypatch):
 
     monkeypatch.setattr(search, "decide_boxicity_leq", broken)
     with pytest.raises(RuntimeError, match="^witness axis order is not a clique order$"):
-        min_agreement_proportion(2, 1)
+        min_agreement_proportion(3, 2)
+
+
+def test_min_proportion_at_d1_runs_no_exact_decision(monkeypatch):
+    def never(g, d):
+        raise AssertionError(f"decide_boxicity_leq({g!r}, {d}) asked at d = 1")
+
+    monkeypatch.setattr(search, "decide_boxicity_leq", never)
+    result = min_agreement_proportion(4, 1)
+    assert result.value == Fraction(1, 2)
+    assert result.level_sizes == (1, 2, 3, 6, 9, 14, 13, 10, 0, 0, 0, 0, 0)
 
 
 def test_min_proportion_desk_scale_limits():
