@@ -44,15 +44,15 @@ def beta_convex(k: int, m: int, d: int) -> float:
     """Agreement-proportion lower bound for (k,m)-agreeable convex families
     in dimension d: 1 - (1 - C(k,d+1)/C(m,d+1))^(1/(d+1)).
 
-    Binomials vanish below the diagonal, so the bound is 0 whenever k <= d
-    (k < m); for k == m the two binomials cancel and the bound is 1.
+    Binomials vanish below the diagonal, so the bound is 0 whenever k <= d:
+    m hyperplanes in general position in R^d are k-wise intersecting, yet no
+    point lies on d + 1 of them.  For k == m >= d + 1 the two binomials
+    cancel and the bound is 1, which is Helly's theorem.
     """
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
-    if k == m:
-        return 1.0
     num = math.comb(k, d + 1)
     ratio = 0.0 if num == 0 else num / math.comb(m, d + 1)
     return 1.0 - (1.0 - ratio) ** (1.0 / (d + 1))

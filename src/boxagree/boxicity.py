@@ -15,13 +15,16 @@ set, so a placed set that no larger one asks for is never built; the
 budget is still charged the worst case, paid before the DP starts, so
 `nodes` does not depend on how many sets it builds (`dp_sets` counts
 those).  A cover then picks at most d of the maximal masks that together
-separate every non-edge, and the clique orders of their axis graphs place
-the witness boxes.  At d = 1 the one axis separates every non-edge, so g
-itself is tested for being interval.
+separate every non-edge.  At d = 1 the one axis separates every non-edge,
+so g itself is tested for being interval.
 
-"No" comes only from a finished DP and cover; a budget too small for them
-yields "inconclusive".  Every "yes" carries a realizing arrangement whose
-intersection graph is re-derived and compared bit-exactly.
+The cover only decides: it returns the masks it chose.  The public
+decision and report turn them into axis graphs, whose consecutive clique
+orders place the witness boxes; the orderly walk's filter (`_at_most`)
+reads only the yes or no.  "No" comes only from a finished DP and cover; a
+budget too small for them yields "inconclusive".  Every "yes" carries a
+realizing arrangement whose intersection graph is re-derived and compared
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +34,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .geometry import Arrangement, Box, RationalInterval, intersection_graph
-from .graphs import Graph, _bits, interval_clique_order, strip_universal
+from .graphs import (
+    Graph,
+    _bits,
+    _clique_order,
+    interval_clique_order,
+    is_interval_graph,
+    strip_universal,
+)
 
 DEFAULT_BUDGET = 10**8
 
@@ -217,11 +227,10 @@ def _masks(g: Graph, tracker: _Budget) -> tuple[list[tuple[int, int]], list[int]
     return non_edges, sorted((full ^ a for a in top), reverse=True)
 
 
-def _cover(g: Graph, d: int, non_edges: list[tuple[int, int]], masks: list[int],
-           tracker: _Budget) -> Arrangement | None:
-    """A d-box realization from at most d of the maximal masks that together
-    separate every non-edge, or None when no such masks exist."""
-    full = (1 << len(non_edges)) - 1
+def _cover(d: int, non_edges: list[tuple[int, int]], masks: list[int],
+           tracker: _Budget) -> list[int] | None:
+    """At most d of the maximal masks that together separate every
+    non-edge, or None when no such masks exist."""
     per_element = [[m for m in masks if m >> i & 1] for i in range(len(non_edges))]
     chosen: list[int] = []
 
@@ -239,17 +248,39 @@ def _cover(g: Graph, d: int, non_edges: list[tuple[int, int]], masks: list[int],
             chosen.pop()
         return False
 
-    if not cover(full, d):
-        return None
+    return chosen if cover((1 << len(non_edges)) - 1, d) else None
+
+
+def _axis_orders(g: Graph, non_edges: list[tuple[int, int]],
+                 chosen: list[int]) -> list[list[int] | None]:
+    """A consecutive clique order of each chosen mask's axis graph, g plus
+    the non-edges the mask does not separate.  The DP made every axis graph
+    interval, so each goes straight to the order search."""
     orders = []
-    for m in chosen:  # each axis graph keeps the non-edges its mask does not separate
+    for m in chosen:
         adj = list(g._adj)
         for i, (u, v) in enumerate(non_edges):
             if not m >> i & 1:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-        orders.append(interval_clique_order(Graph.from_masks(g.n, adj)))
-    return _build_witness(g, d, orders)
+        orders.append(_clique_order(Graph.from_masks(g.n, adj)))
+    return orders
+
+
+def _at_most(g: Graph, d: int) -> bool:
+    """box(g) <= d, decided without a witness: true within Roberts' bound
+    or for an interval graph; otherwise false at d = 1, and above it one DP
+    and one cover at the default budget decide.  A budget that cannot pay
+    for them raises `RuntimeError` naming the graph."""
+    if roberts_upper_bound(g) <= d or is_interval_graph(g):
+        return True
+    if d == 1:
+        return False
+    tracker = _Budget(DEFAULT_BUDGET)
+    try:
+        return _cover(d, *_masks(g, tracker), tracker) is not None
+    except BudgetExhausted:
+        raise RuntimeError(f"boxicity of {g!r} undecided within the default budget") from None
 
 
 def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> BoxicityDecision:
@@ -266,8 +297,13 @@ def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> Boxic
         raise ValueError("complete graph: boxicity is 0 by convention")
     tracker = _Budget(budget)
     try:
-        witness = (_interval_witness(g, tracker) if d == 1
-                   else _cover(g, d, *_masks(g, tracker), tracker))
+        if d == 1:
+            witness = _interval_witness(g, tracker)
+        else:
+            non_edges, masks = _masks(g, tracker)
+            chosen = _cover(d, non_edges, masks, tracker)
+            witness = (None if chosen is None
+                       else _build_witness(g, d, _axis_orders(g, non_edges, chosen)))
     except BudgetExhausted:
         return BoxicityDecision("inconclusive", None, tracker.spent, tracker.dp_sets)
     return BoxicityDecision("no" if witness is None else "yes", witness, tracker.spent,
@@ -306,20 +342,18 @@ def _report(g: Graph, tracker: _Budget) -> BoxicityReport:
             notes.append("bounds meet: exact without search")
             return BoxicityReport(lower, upper, upper, None, tuple(notes))
         phase = "the vertex-order DP, which needs {:,} nodes"  # the unpaid charge
-        masks = _masks(g, tracker)
-        for d in range(lower, upper + 1):
+        non_edges, masks = _masks(g, tracker)
+        for d in range(lower, upper):
             phase = f"the cover for d = {d}"
-            witness = _cover(g, d, *masks, tracker)
-            if witness is not None:
+            chosen = _cover(d, non_edges, masks, tracker)
+            if chosen is not None:
                 notes.append(f"search realized the graph with {d}-boxes")
+                witness = _build_witness(g, d, _axis_orders(g, non_edges, chosen))
                 return BoxicityReport(lower, upper, d, witness, tuple(notes))
             lower = d + 1
             notes.append(f"search exhausted: no {d}-box realization")
-            if lower == upper:
-                notes.append("bounds meet: exact without further search")
-                return BoxicityReport(lower, upper, upper, None, tuple(notes))
     except BudgetExhausted as short:
         notes.append("budget exhausted in " + phase.format(short.args[0]))
         return BoxicityReport(lower, upper, None, None, tuple(notes))
-    # unreachable: the roberts bound always admits a realization
-    return BoxicityReport(lower, upper, None, None, tuple(notes))  # pragma: no cover
+    notes.append("bounds meet: exact without further search")  # lower == upper
+    return BoxicityReport(lower, upper, upper, None, tuple(notes))

@@ -147,6 +147,4 @@ def e_upper_closed(n: int, r: int, d: int, gamma_prev: float | Fraction):
         raise ValueError(f"need n >= r >= 2 and d >= 1, got n={n}, r={r}, d={d}")
     if gamma_prev <= 0:
         raise ValueError(f"need gamma_prev > 0, got {gamma_prev}")
-    if isinstance(gamma_prev, Fraction):
-        return math.comb(r, 2) + Fraction(n - r) * (r - 1) / gamma_prev
     return math.comb(r, 2) + (n - r) * (r - 1) / gamma_prev

@@ -348,14 +348,92 @@ def maximal_cliques(g: Graph) -> list[int]:
     return sorted(out)
 
 
+def is_interval_graph(g: Graph) -> bool:
+    """True iff some vertex-interval family on a line realizes g exactly.
+
+    Lekkerkerker-Boland (1962): g is an interval graph exactly when it is
+    chordal and has no asteroidal triple, three pairwise non-adjacent
+    vertices each two of which a path joins that avoids the closed
+    neighbourhood of the third.  Both tests are polynomial.
+    """
+    return _is_chordal(g.n, g._adj) and not _has_asteroidal_triple(g.n, g._adj)
+
+
+def _is_chordal(n: int, adj: tuple[int, ...]) -> bool:
+    """Maximum cardinality search (Tarjan-Yannakakis 1984) visits next a
+    vertex with the most visited neighbours; g is chordal exactly when, for
+    every v, the neighbours visited before v are all adjacent to the last
+    of them (the reversed visit order is then a perfect elimination order)."""
+    weight = [0] * n
+    when = [0] * n
+    unvisited = (1 << n) - 1
+    for step in range(n):
+        v = max(_bits(unvisited), key=weight.__getitem__)
+        unvisited ^= 1 << v
+        when[v] = step
+        earlier = adj[v] & ~unvisited
+        if earlier:
+            u = max(_bits(earlier), key=when.__getitem__)
+            if earlier & ~adj[u] & ~(1 << u):
+                return False
+        for w in _bits(adj[v] & unvisited):
+            weight[w] += 1
+    return True
+
+
+def _components(adj: tuple[int, ...], within: int):
+    """The connected components of the subgraph induced on the bitset
+    `within`, each a bitset grown by breadth-first search."""
+    while within:
+        seen = frontier = within & -within
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & within & ~seen
+            seen |= frontier
+        within ^= seen
+        yield seen
+
+
+def _has_asteroidal_triple(n: int, adj: tuple[int, ...]) -> bool:
+    """Whether some x < y < z are an asteroidal triple: y and z share a
+    component of g - N[x], x and z one of g - N[y], and x and y one of
+    g - N[z].  Such a triple lies in one component of g, so each g - N[x]
+    is searched within x's own."""
+    far = [0] * n  # far[x]: x's component of g less N[x]
+    comp = [[0] * n for _ in range(n)]  # comp[x][v]: v's component of g - N[x] within far[x]
+    for part in _components(adj, (1 << n) - 1):
+        for x in _bits(part):
+            far[x] = part & ~adj[x] & ~(1 << x)
+            for c in _components(adj, far[x]):
+                for v in _bits(c):
+                    comp[x][v] = c
+    for x in range(n):
+        for y in _bits(far[x] & -(2 << x)):  # -(2 << x) keeps the bits above x
+            for z in _bits(comp[x][y] & comp[y][x] & -(2 << y)):
+                if comp[z][x] >> y & 1:
+                    return True
+    return False
+
+
 def interval_clique_order(g: Graph) -> list[int] | None:
     """A linear order of the maximal cliques in which every vertex's cliques
-    are consecutive, or None when no such order exists (Gilmore-Hoffman).
+    are consecutive (Gilmore-Hoffman), or None when g is not an interval
+    graph.  `is_interval_graph` decides first, so only an interval graph
+    reaches the order search."""
+    return _clique_order(g) if is_interval_graph(g) else None
+
+
+def _clique_order(g: Graph) -> list[int] | None:
+    """A consecutive clique order of g, or None when there is none.
 
     Backtracking over clique sequences; at each step any open vertex that
     still has unplaced cliques forces membership in the next clique, which
-    keeps the branching narrow.  Exponential in the clique count in the
-    worst case, which is fine at this scale.
+    keeps the branching narrow.  Proving that no order exists can take
+    every order of the cliques, so callers pass only interval graphs: the
+    graphs that `is_interval_graph` accepts and the axis graphs of a
+    boxicity cover.
     """
     cliques = maximal_cliques(g)
     mcount = len(cliques)
@@ -401,11 +479,6 @@ def interval_clique_order(g: Graph) -> list[int] | None:
     if dfs(0, 0, 0):
         return [cliques[ci] for ci in order]
     return None
-
-
-def is_interval_graph(g: Graph) -> bool:
-    """True iff some vertex-interval family on a line realizes g exactly."""
-    return interval_clique_order(g) is not None
 
 
 # ---------------------------------------------------------------------------

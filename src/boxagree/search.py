@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import fixtures
-from .boxicity import adiga_lower_bound, decide_boxicity_leq, roberts_upper_bound
+from .boxicity import _at_most, adiga_lower_bound
 from .graphs import (
     Graph,
     _bits,
@@ -40,7 +40,6 @@ from .graphs import (
     canonical_form,
     clique_number,
     is_agreeable,
-    is_interval_graph,
 )
 
 
@@ -308,9 +307,9 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
     rule, and the full "labellings", creating each key it counts.  Given
     `dim`, a child that passes the canonicity tests is kept only if its
     boxicity is at most `dim` (exact, as its canonical parent then is too),
-    else it counts under "boxicity"; at `dim` 1 the interval test alone
-    decides, and above it a decision on <= 13 vertices charges the DP at
-    most 13 * 2^12 nodes."""
+    else it counts under "boxicity".  `boxicity._at_most` answers that
+    yes or no without building a witness; on <= 13 vertices its DP charges
+    at most 13 * 2^12 nodes, far within the default budget."""
     for key in ("examined", "labellings", "orbit", "not_canonical"):
         work.setdefault(key, 0)
     if dim is not None:
@@ -374,16 +373,9 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
                         if roots[first] != roots[k]:
                             work["not_canonical"] += 1
                             continue
-                if dim is not None:
-                    g = Graph.from_masks(k + 1, newadj)
-                    if roberts_upper_bound(g) > dim and not is_interval_graph(g):
-                        status = "no" if dim == 1 else decide_boxicity_leq(g, dim).status
-                        if status == "inconclusive":
-                            raise RuntimeError(
-                                f"boxicity of {g!r} undecided within the default budget")
-                        if status == "no":
-                            work["boxicity"] += 1
-                            continue
+                if dim is not None and not _at_most(Graph.from_masks(k + 1, newadj), dim):
+                    work["boxicity"] += 1
+                    continue
                 if child_aut is None and parent_aut == []:
                     # Aut(G + k) fixes k, so it restricts into the trivial Aut(G)
                     child_aut = []

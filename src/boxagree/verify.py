@@ -239,7 +239,7 @@ def run_paper_checks() -> list[CheckResult]:
     _check(results, "exposure figure claim", validate_exposure(expo, claimed),
            "box 1 exposed by {y = 5/2}")
     auto = find_exposed(expo)
-    _check(results, "exposure scan validates", validate_exposure(expo, auto),
+    _check(results, "exposure lemma validates", validate_exposure(expo, auto),
            f"box {auto.box_index} by axis {auto.axis} {auto.side} face at "
            f"{auto.coordinate}")
     idx = find_exposed(a38).box_index

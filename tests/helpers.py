@@ -22,6 +22,7 @@ from boxagree import (
 from boxagree.graphs import (
     _bits,
     _canonical_labelling,
+    _clique_order,
     _cliques_within,
     _orbit_roots,
     canonical_certificate,
@@ -195,6 +196,13 @@ def is_chordal_oracle(g: Graph) -> bool:
             return False
         alive.remove(simplicial)
     return True
+
+
+def interval_order_oracle(g: Graph) -> bool:
+    """Interval by the definition (Gilmore-Hoffman): some order of the
+    maximal cliques keeps every vertex's cliques consecutive, found by the
+    library's backtracking search, exponential on a "no"."""
+    return _clique_order(g) is not None
 
 
 def maximal_interval_masks_oracle(g: Graph) -> list[int]:

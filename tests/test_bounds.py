@@ -31,9 +31,11 @@ def test_beta_plane_blind_spot():
 
 
 def test_beta_k_equals_m():
+    # Helly's theorem gives 1 once m >= d + 1; below it, m hyperplanes in
+    # general position meet m at a time but no point lies on d + 1 of them
     for m in (2, 3, 5):
         for d in (1, 2, 4):
-            assert beta_convex(m, m, d) == 1.0
+            assert beta_convex(m, m, d) == (1.0 if m > d else 0.0)
 
 
 def test_beta_zero_whenever_k_at_most_d():

@@ -147,6 +147,19 @@ def test_report_fig38c_settles_at_three():
     assert any("no 2-box realization" in note for note in rep.notes)
 
 
+def test_report_reaches_roberts_bound_after_the_last_cover():
+    # the join of the complements of P3, K2 and K2 has boxicity 1 + 1 + 1 =
+    # floor(7/2), above the adiga bound 2: once d = 2 fails, the bounds meet
+    non_edges = {(1, 2), (2, 3), (4, 5), (6, 7)}
+    g = Graph(7, [p for p in combinations(range(1, 8), 2) if p not in non_edges])
+    rep = boxicity_report(g)
+    assert (rep.lower, rep.upper, rep.exact, rep.witness) == (3, 3, 3, None)
+    assert rep.notes == ("adiga lower bound 2", "search exhausted: no 2-box realization",
+                         "bounds meet: exact without further search")
+    assert (rep.nodes, rep.dp_sets) == (452, 28)
+    assert decide_boxicity_leq(g, 3).status == "yes"
+
+
 def test_report_exact_is_least_yes_decision_random():
     rng = Random(34)
     for _ in range(20):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 
 import pytest
 
@@ -135,6 +136,20 @@ def test_boxicity_command_report(capsys):
     code, out, _ = run(capsys, "boxicity", "fig38c")
     assert code == 0
     assert re.search(r"exact 3 \(\d+ nodes\)", out)
+
+
+def test_boxicity_command_refuses_a_padded_cycle_at_once(tmp_path, capsys):
+    # the d = 1 verdict is polynomial, so a tiny budget stops the report at
+    # the DP; proving "not interval" by trying every clique order took
+    # seconds per added vertex
+    path = tmp_path / "g.txt"
+    path.write_text("n 16\n1 2\n2 3\n3 4\n1 4\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "boxicity", str(path), "--budget", "5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "exact undetermined (1 nodes)" in out
+    assert "budget exhausted in the vertex-order DP" in out
 
 
 def test_boxicity_command_settles_fig134(capsys):

@@ -29,6 +29,7 @@ from helpers import (
     cliques_oracle,
     complete,
     cycle,
+    interval_order_oracle,
     is_chordal_oracle,
     max_clique_oracle,
     path,
@@ -273,6 +274,46 @@ def test_interval_implies_chordal_random():
 def test_claw_is_interval_but_not_proper():
     claw = Graph(4, [(1, 2), (1, 3), (1, 4)])
     assert is_interval_graph(claw)
+
+
+def test_interval_verdict_matches_order_search_on_every_small_graph():
+    for n in range(1, 7):
+        for g in _all_labeled_graphs(n):
+            assert is_interval_graph(g) == interval_order_oracle(g), g
+
+
+def test_interval_verdict_matches_order_search_on_seeded_graphs():
+    rng = Random(41)
+    verdicts = []
+    for _ in range(1200):
+        g = random_graph(rng, max_n=10, p=rng.uniform(0.2, 0.9))
+        verdicts.append(is_interval_graph(g))
+        assert verdicts[-1] == interval_order_oracle(g), g
+        assert graphs._is_chordal(g.n, g._adj) == is_chordal_oracle(g), g
+        assert (interval_clique_order(g) is None) == (not verdicts[-1])
+    assert 200 < sum(verdicts) < 1000
+
+
+def _padded(g: Graph, extra: int) -> Graph:
+    return Graph.from_masks(g.n + extra, g._adj + (0,) * extra)
+
+
+@pytest.mark.parametrize("name, g", [
+    ("4-cycle", cycle(4)),
+    # a 4-cycle with a pendant hub of 8 leaves: connected, not chordal
+    ("4-cycle with hub", Graph(13, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5)]
+                               + [(5, leaf) for leaf in range(6, 14)])),
+    # three legs of length 2: chordal, the leg ends an asteroidal triple
+    ("3-leg spider", Graph(7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])),
+])
+def test_interval_no_is_fast_with_many_isolated_vertices(name, g):
+    # every order of the padded graph's cliques fails; the verdict must not
+    # try them all
+    padded = _padded(g, 40)
+    start = time.perf_counter()
+    assert not is_interval_graph(padded)
+    assert interval_clique_order(padded) is None
+    assert time.perf_counter() - start < 1.0, name
 
 
 # -- canonical forms ---------------------------------------------------------

@@ -17,7 +17,8 @@ from boxagree import (
     min_agreement_proportion,
     verify_main_theorem,
 )
-from boxagree import BoxicityDecision, fixtures, search
+from boxagree import boxicity, decide_boxicity_leq, fixtures, intersection_graph, search
+from boxagree.boxicity import BudgetExhausted
 from boxagree.graphs import (
     _canonical_labelling,
     _cliques_within,
@@ -306,12 +307,12 @@ def test_min_proportion_walk_matches_enumeration_per_n(r):
 def test_min_proportion_inconclusive_boxicity_names_the_graph(monkeypatch):
     asked = []
 
-    def inconclusive(g, d):
+    def inconclusive(g, tracker):
         asked.append(g)
-        return BoxicityDecision("inconclusive", None, 0)
+        raise BudgetExhausted(0)
 
     # at d = 1 the interval test alone decides, so the walk asks at d = 2
-    monkeypatch.setattr(search, "decide_boxicity_leq", inconclusive)
+    monkeypatch.setattr(boxicity, "_masks", inconclusive)
     with pytest.raises(RuntimeError) as err:
         min_agreement_proportion(3, 2)
     assert len(asked) == 1
@@ -319,22 +320,36 @@ def test_min_proportion_inconclusive_boxicity_names_the_graph(monkeypatch):
 
 
 def test_min_proportion_lets_a_decision_error_through(monkeypatch):
-    def broken(g, d):
+    def broken(g, tracker):
         raise RuntimeError("witness axis order is not a clique order")
 
-    monkeypatch.setattr(search, "decide_boxicity_leq", broken)
+    monkeypatch.setattr(boxicity, "_masks", broken)
     with pytest.raises(RuntimeError, match="^witness axis order is not a clique order$"):
         min_agreement_proportion(3, 2)
 
 
 def test_min_proportion_at_d1_runs_no_exact_decision(monkeypatch):
-    def never(g, d):
-        raise AssertionError(f"decide_boxicity_leq({g!r}, {d}) asked at d = 1")
+    def never(g, tracker):
+        raise AssertionError(f"boxicity DP on {g!r} asked at d = 1")
 
-    monkeypatch.setattr(search, "decide_boxicity_leq", never)
+    monkeypatch.setattr(boxicity, "_masks", never)
     result = min_agreement_proportion(4, 1)
     assert result.value == Fraction(1, 2)
     assert result.level_sizes == (1, 2, 3, 6, 9, 14, 13, 10, 0, 0, 0, 0, 0)
+
+
+def test_min_proportion_builds_no_witness(monkeypatch):
+    # the walk's filter reads only the cover's yes or no
+    def never(g, d, orders):
+        raise AssertionError(f"witness for {g!r} built inside the walk")
+
+    monkeypatch.setattr(boxicity, "_build_witness", never)
+    assert min_agreement_proportion(3, 2).value == Fraction(3, 8)
+    assert min_agreement_proportion(4, 2).value == Fraction(3, 8)
+    monkeypatch.undo()
+    g38a = fixtures.expected_graph("fig38a")
+    witness = decide_boxicity_leq(g38a, 2).witness
+    assert witness.dimension == 2 and intersection_graph(witness) == g38a
 
 
 def test_min_proportion_desk_scale_limits():

@@ -11,7 +11,7 @@ CHECK_NAMES = [
     "comparison table", "root map at 1/2", "beta(2,3,1)", "beta(2,3,2)",
     "main bound dominates", "fig38a boxicity 2", "fig38b boxicity 2",
     "k_partite 3 boxicity 3", "k_partite 4 boxicity 4", "adiga on vertex pairs",
-    "roberts on K7", "exposure figure claim", "exposure scan validates",
+    "roberts on K7", "exposure figure claim", "exposure lemma validates",
     "fig38a split degree", "split identity on fixtures", "edge recurrence at n=8",
     "closed edge bound at n=8", "edge sandwich", "linear minimum", "planar minimum",
     "main theorem d=1", "main theorem d=2",
