@@ -135,7 +135,7 @@ def cmd_search_eta(args) -> int:
             print(f"  rule: {entry.impossibility.detail}")
         return 0
     print(verify.format_eta_table())
-    for n, r in ((6, 2), (9, 3)):
+    for n, r in ((6, 2), (9, 3), (14, 4)):
         cert = enumerate_agreeable(n, r)
         print(f"exhaustion n={n}, omega<={r}: {len(cert.survivors)} graphs "
               f"({cert.graphs_examined} examined, {cert.labellings} labellings)")

@@ -168,37 +168,79 @@ def clique_number(g: Graph) -> int:
     return _max_clique_size(g.n, g._adj)
 
 
-def _cliques_within(adj: tuple[int, ...], cand: int, floor: int, ceiling: int, hit=()):
+def _membership(n: int, sets) -> list[int]:
+    """Entry v is the bitset of the indices of the bitsets in `sets` that
+    hold vertex v, so that a vertex set meets all of them exactly when the
+    OR of its vertices' entries is (1 << len(sets)) - 1."""
+    member = [0] * n
+    for i, s in enumerate(sets):
+        while s:
+            low = s & -s
+            s ^= low
+            member[low.bit_length() - 1] |= 1 << i
+    return member
+
+
+def _cliques_within(adj: tuple[int, ...], cand: int, floor: int, ceiling: int,
+                    member=(), need: int = 0) -> list[int]:
     """Every clique of `floor` to `ceiling` vertices inside the bitset `cand`
-    that meets every bitset in `hit`, each once, as a bitset; grown by
-    ascending vertex index.  A branch stops as soon as some bitset in `hit`
-    lies outside what it can still add."""
-    if floor <= 0 <= ceiling and not hit:
-        yield 0
-    if ceiling < 1:
-        return
-    while cand and cand.bit_count() >= floor:
-        if any(not h & cand for h in hit):
-            return
-        low = cand & -cand
-        cand ^= low
-        rest = [h for h in hit if not h & low]
-        if ceiling == 1:
+    whose vertices' `member` entries (see `_membership`) OR to a superset of
+    `need`, each once, as a bitset; grown by ascending vertex index, in
+    depth-first preorder.  A branch stops as soon as the vertices it can
+    still add are too few, or the OR of their entries misses a bit of what
+    is still unmet."""
+    out: list[int] = []
+
+    def grow(clique: int, cand: int, floor: int, ceiling: int, need: int) -> None:
+        count = cand.bit_count()
+        if need:
+            covers = []  # covers[j]: the OR of the entries of the j + 1 highest candidates
+            cover = 0
+            m = cand
+            while m:
+                v = m.bit_length() - 1
+                m ^= 1 << v
+                cover |= member[v]
+                covers.append(cover)
+        m = cand
+        while m:
+            if count < floor or need and need & ~covers[count - 1]:
+                return
+            count -= 1
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            rest = need & ~member[v] if need else 0
             if floor <= 1 and not rest:
-                yield low
-            continue
-        for clique in _cliques_within(
-            adj, cand & adj[low.bit_length() - 1], floor - 1, ceiling - 1, rest
-        ):
-            yield clique | low
+                out.append(clique | low)
+            if ceiling > 1:
+                nxt = m & adj[v]  # the neighbours above v
+                if nxt:
+                    grow(clique | low, nxt, floor - 1, ceiling - 1, rest)
+
+    if floor <= 0 <= ceiling and not need:
+        out.append(0)
+    if ceiling >= 1:
+        grow(0, cand, floor, ceiling, need)
+    return out
 
 
 def has_clique_of_size(g: Graph, s: int, within: int | None = None) -> bool:
-    """True iff some s-clique exists (restricted to the `within` bitset if given)."""
+    """True iff some s-clique exists (restricted to the `within` bitset if
+    given); the search stops at the first one."""
     if s <= 0:
         return True
-    cand = (1 << g.n) - 1 if within is None else within
-    return next(_cliques_within(g._adj, cand, s, s), None) is not None
+    adj = g._adj
+
+    def found(cand: int, s: int) -> bool:
+        while cand.bit_count() >= s:
+            low = cand & -cand
+            cand ^= low
+            if s == 1 or found(cand & adj[low.bit_length() - 1], s - 1):
+                return True
+        return False
+
+    return found((1 << g.n) - 1 if within is None else within, s)
 
 
 def _is_clique(mask: int, adj: tuple[int, ...]) -> bool:
@@ -513,8 +555,11 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
             reach = adj[w.bit_length() - 1]
         else:
             reach = 0
-            for v in _bits(w):
-                reach |= adj[v]
+            m = w
+            while m:
+                low = m & -m
+                m ^= low
+                reach |= adj[low.bit_length() - 1]
         t = 0
         while t < n:
             x = cells[t]
@@ -524,7 +569,18 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
                 continue
             if single:
                 inside = x & reach
-                pieces = [x ^ inside, inside] if inside != x else [x]
+                if inside != x:
+                    # pieces x - inside and inside; the first largest is not queued
+                    outside = x ^ inside
+                    pos = t + outside.bit_count()
+                    cells[t] = outside
+                    cells[pos] = inside
+                    if queued >> t & 1 or outside.bit_count() >= inside.bit_count():
+                        queued |= 1 << pos
+                        queue.append(pos)
+                    else:
+                        queued |= 1 << t
+                        queue.append(t)
             else:
                 groups: dict[int, int] = {}
                 m = x
@@ -533,17 +589,21 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
                     m ^= low
                     c = (adj[low.bit_length() - 1] & w).bit_count()
                     groups[c] = groups.get(c, 0) | low
-                pieces = [groups[c] for c in sorted(groups)]
-            if len(pieces) > 1:
-                skip = -1 if queued >> t & 1 else max(
-                    range(len(pieces)), key=lambda i: (pieces[i].bit_count(), -i))
-                pos = t
-                for i, piece in enumerate(pieces):
-                    cells[pos] = piece
-                    if i != skip and not queued >> pos & 1:
-                        queued |= 1 << pos
-                        queue.append(pos)
-                    pos += piece.bit_count()
+                if len(groups) > 1:
+                    pieces = [groups[c] for c in sorted(groups)]
+                    skip = -1  # the first largest piece, unless x was queued
+                    if not queued >> t & 1:
+                        largest = 0
+                        for i, piece in enumerate(pieces):
+                            if piece.bit_count() > largest:
+                                skip, largest = i, piece.bit_count()
+                    pos = t
+                    for i, piece in enumerate(pieces):
+                        cells[pos] = piece
+                        if i != skip and not queued >> pos & 1:
+                            queued |= 1 << pos
+                            queue.append(pos)
+                        pos += piece.bit_count()
             t += size
 
 
@@ -559,21 +619,24 @@ def _root_partition(n: int, adj: tuple[int, ...]) -> list[int]:
 
 
 def _orbit_roots(n: int, generators) -> list[int]:
-    """Union-find roots of the orbits of the group the permutations generate."""
-    root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
+    """Entry v is the least vertex of v's orbit under the group the
+    permutations generate."""
+    roots = list(range(n))
     for gamma in generators:
-        for v in range(n):
-            a, b = find(v), find(gamma[v])
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return [find(v) for v in range(n)]
+        _join_orbits(roots, gamma)
+    return roots
+
+
+def _join_orbits(roots: list[int], gamma) -> None:
+    """Add the permutation `gamma` to the group whose orbits `roots` holds,
+    as `_orbit_roots` lays them out: each two orbits that gamma links merge
+    under the lesser root."""
+    for v, w in enumerate(gamma):
+        a, b = roots[v], roots[w]
+        if a != b:
+            if a > b:
+                a, b = b, a
+            roots[:] = [a if x == b else x for x in roots]
 
 
 def _canonical_labelling(
@@ -608,9 +671,9 @@ def _canonical_labelling(
     def leaf(cells: list[int], seq: list[int]) -> int:
         nonlocal best_key, best_lab
         lab = [c.bit_length() - 1 for c in cells]
-        pos = [0] * n
+        at = [0] * n  # at[v]: the bit of v's position in the order
         for i, v in enumerate(lab):
-            pos[v] = i
+            at[v] = 1 << i
         rows = []
         for v in lab:
             m = adj[v]
@@ -618,7 +681,7 @@ def _canonical_labelling(
             while m:
                 low = m & -m
                 m ^= low
-                row |= 1 << pos[low.bit_length() - 1]
+                row |= at[low.bit_length() - 1]
             rows.append(row)
         key = tuple(rows)
         seen = leaves.get(key)
@@ -651,15 +714,15 @@ def _canonical_labelling(
         if target < 0:
             return leaf(cells, seq)
         explored = 0
-        roots: list[int] = []
-        used = -1
+        roots = list(range(n))  # the orbits of the recorded generators that fix seq
+        used = 0  # the generators folded into roots so far
         cell = cells[target]
         for v in _bits(cell):
             if explored:
-                if used != len(generators):
-                    used = len(generators)
-                    roots = _orbit_roots(
-                        n, [g for g in generators if all(g[u] == u for u in seq)])
+                for gamma in generators[used:]:
+                    if all(gamma[u] == u for u in seq):
+                        _join_orbits(roots, gamma)
+                used = len(generators)
                 if any(roots[u] == roots[v] for u in _bits(explored)):
                     continue
             explored |= 1 << v

@@ -23,7 +23,7 @@ independent of the pruned search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -31,10 +31,10 @@ from . import fixtures
 from .boxicity import _at_most, adiga_lower_bound
 from .graphs import (
     Graph,
-    _bits,
     _canonical_labelling,
     _cliques_within,
     _is_clique,
+    _membership,
     _orbit_roots,
     _root_partition,
     canonical_form,
@@ -209,8 +209,11 @@ def _set_orbit_min(s: int, generators, known: dict[int, int]) -> int:
         t = stack.pop()
         for gamma in generators:
             image = 0
-            for v in _bits(t):
-                image |= 1 << gamma[v]
+            m = t
+            while m:
+                low = m & -m
+                m ^= low
+                image |= 1 << gamma[low.bit_length() - 1]
             if image not in orbit:
                 orbit.add(image)
                 stack.append(image)
@@ -275,28 +278,34 @@ def enumerate_agreeable(n: int, r: int) -> SearchCertificate:
     return SearchCertificate(n, r, examined, survivors, work, tuple(sizes), labellings)
 
 
-def _admissible_cliques(adj, deg, r_cliques, floor: int, ceiling: int):
+def _admissible_cliques(adj, deg, r_cliques, floor: int, ceiling: int) -> list[int]:
     """The cliques C of a k-vertex graph, of `floor` to `ceiling` vertices,
     that meet every r-clique and leave no old vertex above the new one's
     degree d = k - |C|, given a ceiling of at most k - max(deg), so that d
     is no less than any old degree.  An old vertex ends with degree deg(v) + [v not in
     C], so every v with deg(v) >= d is forced into C; a size whose forced
     set is not a clique, or outgrows the size, has no such C, and otherwise
-    C is the forced set plus a clique of its common neighbourhood."""
+    C is the forced set plus a clique of its common neighbourhood that
+    meets the r-cliques the forced set misses."""
     k = len(adj)
+    member = _membership(k, r_cliques)
+    everyone = (1 << len(r_cliques)) - 1
+    out: list[int] = []
     for size in range(max(floor, 0), ceiling + 1):
         forced = 0
         common = (1 << k) - 1
+        met = 0
         for v in range(k):
             if deg[v] >= k - size:
                 forced |= 1 << v
                 common &= adj[v]
-        if forced.bit_count() > size or not _is_clique(forced, adj):
-            continue
-        rest = [c for c in r_cliques if not c & forced]
+                met |= member[v]
         free = size - forced.bit_count()
-        for clique in _cliques_within(adj, common, free, free, rest):
-            yield forced | clique
+        if free < 0 or not _is_clique(forced, adj):
+            continue
+        unmet = everyone & ~met
+        out += [forced | c for c in _cliques_within(adj, common, free, free, member, unmet)]
+    return out
 
 
 def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
@@ -309,7 +318,12 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
     boxicity is at most `dim` (exact, as its canonical parent then is too),
     else it counts under "boxicity".  `boxicity._at_most` answers that
     yes or no without building a witness; on <= 13 vertices its DP charges
-    at most 13 * 2^12 nodes, far within the default budget."""
+    at most 13 * 2^12 nodes, far within the default budget.
+
+    A child's scores follow from its parent's: attaching the new vertex to
+    A raises the degree of each vertex of A by one, so a vertex's sum of
+    neighbour degrees grows by its neighbours in A, plus d = |A| when it
+    lies in A itself, and only vertices that end with degree d are scored."""
     for key in ("examined", "labellings", "orbit", "not_canonical"):
         work.setdefault(key, 0)
     if dim is not None:
@@ -321,25 +335,53 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
     for k in range(1, n):
         nxt: list[tuple[tuple[int, ...], list | None, list[int]]] = []
         fullk = (1 << k) - 1
+        newbit = 1 << k
         for adj, parent_aut, r_cliques in level:
             deg = [m.bit_count() for m in adj]
+            total = sum(deg)
+            by_degree = [0] * (k + 1)  # by_degree[j]: the vertices of degree j
+            nsum = []  # nsum[v]: the sum of v's neighbours' degrees
+            for v, row in enumerate(adj):
+                by_degree[deg[v]] |= 1 << v
+                t = 0
+                while row:
+                    low = row & -row
+                    row ^= low
+                    t += deg[low.bit_length() - 1]
+                nsum.append(t)
             root = None  # the parent's root partition, once an orbit test needs it
             orbit_min: dict[int, int] = {}
             # the new vertex's degree k - |clique| must reach max(deg)
-            for clique in _admissible_cliques(adj, deg, r_cliques, k - degree_cap, k - max(deg)):
-                work["examined"] += 1
+            cliques = _admissible_cliques(adj, deg, r_cliques, k - degree_cap, k - max(deg))
+            work["examined"] += len(cliques)
+            for clique in cliques:
                 attach = fullk ^ clique
-                d = attach.bit_count()
-                newdeg = [deg[v] + (attach >> v & 1) for v in range(k)] + [d]
-                newadj = tuple(
-                    adj[v] | ((attach >> v & 1) << k) for v in range(k)
-                ) + (attach,)
-                score = [
-                    sum(newdeg[w] for w in _bits(newadj[v])) if newdeg[v] == d else -1
-                    for v in range(k + 1)
-                ]
-                top = max(score)
-                if score[k] < top:
+                d = k - clique.bit_count()
+                # the new vertex's score: the sum of its neighbours' new degrees
+                mine = total + d
+                m = clique
+                while m:
+                    low = m & -m
+                    m ^= low
+                    mine -= deg[low.bit_length() - 1]
+                ties = newbit  # the vertices that score as high as the new one
+                beaten = False
+                # degree d in the child: degree d - 1 in A, or d outside it
+                # (when d = 0, A is empty)
+                m = attach & by_degree[d - 1] | clique & by_degree[d]
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
+                    score = nsum[v] + (adj[v] & attach).bit_count()
+                    if attach & low:
+                        score += d
+                    if score > mine:
+                        beaten = True
+                        break
+                    if score == mine:
+                        ties |= low
+                if beaten:
                     work["not_canonical"] += 1
                     continue
                 if parent_aut is None:
@@ -351,24 +393,25 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
                     if parent_aut is None and any(attach & c not in (0, c) for c in root):
                         parent_aut = _canonical_labelling(k, adj, root)[2]
                         work["labellings"] += 1
-                if parent_aut is not None and \
-                        _set_orbit_min(attach, parent_aut, orbit_min) != attach:
+                if parent_aut and _set_orbit_min(attach, parent_aut, orbit_min) != attach:
                     work["orbit"] += 1
                     continue
+                newadj = tuple([row | newbit if attach >> v & 1 else row
+                                for v, row in enumerate(adj)]) + (attach,)
                 child_aut = None
-                if score.count(top) > 1:
+                if ties != newbit:
                     # the first top-score vertex in canonical order lies in
                     # the first top-score cell of the root partition
                     cells = _root_partition(k + 1, newadj)
                     cell = next(c for c in cells
-                                if c and score[(c & -c).bit_length() - 1] == top)
-                    if not cell >> k & 1:
+                                if c and ties >> ((c & -c).bit_length() - 1) & 1)
+                    if not cell & newbit:
                         work["not_canonical"] += 1
                         continue
-                    if cell != 1 << k:
+                    if cell != newbit:
                         _, order, child_aut = _canonical_labelling(k + 1, newadj, cells)
                         work["labellings"] += 1
-                        first = next(v for v in order if score[v] == top)
+                        first = next(v for v in order if ties >> v & 1)
                         roots = _orbit_roots(k + 1, child_aut)
                         if roots[first] != roots[k]:
                             work["not_canonical"] += 1
@@ -379,7 +422,7 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
                 if child_aut is None and parent_aut == []:
                     # Aut(G + k) fixes k, so it restricts into the trivial Aut(G)
                     child_aut = []
-                new_cliques = [c | 1 << k for c in _cliques_within(adj, attach, r - 1, r - 1)]
+                new_cliques = [c | newbit for c in _cliques_within(adj, attach, r - 1, r - 1)]
                 nxt.append((newadj, child_aut, r_cliques + new_cliques))
         level = nxt
         yield level
@@ -404,6 +447,9 @@ class ProportionResult:
     value: Fraction
     minimizers: tuple[Graph, ...]
     level_sizes: tuple[int, ...]  # classes within the boxicity cap on 1..eta(r) vertices
+    # the walk's counters: attachments "examined", full "labellings", and
+    # those pruned by "orbit", "not_canonical" and, under a cap, "boxicity"
+    work: dict[str, int] = field(default_factory=dict)
 
 
 def min_agreement_proportion(r: int, d_constraint: int | None = None) -> ProportionResult:
@@ -439,7 +485,7 @@ def min_agreement_proportion(r: int, d_constraint: int | None = None) -> Proport
     if best is None:  # pragma: no cover - K1 always qualifies
         raise RuntimeError("no graphs enumerated")
     minimizers.sort(key=lambda g: (g.n, canonical_form(g)))
-    return ProportionResult(best, tuple(minimizers), tuple(sizes))
+    return ProportionResult(best, tuple(minimizers), tuple(sizes), work)
 
 
 def verify_main_theorem(d: int, r: int) -> bool:

@@ -23,7 +23,6 @@ from boxagree.graphs import (
     _bits,
     _canonical_labelling,
     _clique_order,
-    _cliques_within,
     _orbit_roots,
     canonical_certificate,
 )
@@ -315,13 +314,49 @@ def refine_oracle(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> N
             t += size
 
 
+def all_cliques(adj: tuple[int, ...]) -> list[int]:
+    """Every clique of the graph with adjacency rows `adj`, the empty one
+    first, as bitsets: each grown by one vertex above its largest, with no
+    pruning."""
+    out = [0]
+
+    def grow(clique: int, cand: int) -> None:
+        for v in _bits(cand):
+            out.append(clique | 1 << v)
+            grow(clique | 1 << v, cand & adj[v] & -(2 << v))
+
+    grow(0, (1 << len(adj)) - 1)
+    return out
+
+
+def attachments_oracle(adj: tuple[int, ...], r: int, degree_cap: int) -> list[int]:
+    """The cliques C whose complements the walk may attach a new vertex to,
+    with no shortcut: every clique of k - degree_cap to k - max(deg)
+    vertices that meets every r-clique, less those that leave an old
+    vertex's degree above the new vertex's degree k - |C|."""
+    k = len(adj)
+    fullk = (1 << k) - 1
+    deg = [m.bit_count() for m in adj]
+    cliques = all_cliques(adj)
+    r_cliques = [c for c in cliques if c.bit_count() == r]
+    out = []
+    for clique in cliques:
+        if not k - degree_cap <= clique.bit_count() <= k - max(deg):
+            continue
+        if not all(clique & h for h in r_cliques):
+            continue
+        attach = fullk ^ clique
+        if all(deg[v] + (attach >> v & 1) <= attach.bit_count() for v in range(k)):
+            out.append(clique)
+    return out
+
+
 def levels_oracle(n: int, r: int):
     """The levels of `search._levels`, by canonical augmentation with each
-    test run in full: every clique of an allowed size that meets the
-    r-cliques, listed afresh per parent, is built into a child and dropped
-    if an old vertex outgrows the new one; the parent is labelled for every
-    orbit test and the child for every tie.  Yields, per level, a list of
-    (adjacency rows, automorphism generators or None)."""
+    test run in full: every attachment of `attachments_oracle`, listed
+    afresh per parent, is built into a child; the parent is labelled for
+    every orbit test and the child for every tie.  Yields, per level, a
+    list of (adjacency rows, automorphism generators or None)."""
     degree_cap = default_eta_table().entry(r - 1).upper_bound
     level: list[tuple[tuple[int, ...], list | None]] = [((0,), [])]
     yield level
@@ -330,15 +365,11 @@ def levels_oracle(n: int, r: int):
         fullk = (1 << k) - 1
         for adj, parent_aut in level:
             deg = [m.bit_count() for m in adj]
-            r_cliques = list(_cliques_within(adj, fullk, r, r))
             orbit_min: dict[int, int] = {}
-            for clique in _cliques_within(adj, fullk, k - degree_cap, k - max(deg), r_cliques):
+            for clique in attachments_oracle(adj, r, degree_cap):
                 attach = fullk ^ clique
                 d = attach.bit_count()
-                newdeg = [deg[v] + (attach >> v & 1) for v in range(k)]
-                if max(newdeg) > d:
-                    continue
-                newdeg.append(d)
+                newdeg = [deg[v] + (attach >> v & 1) for v in range(k)] + [d]
                 newadj = tuple(
                     adj[v] | ((attach >> v & 1) << k) for v in range(k)
                 ) + (attach,)

@@ -105,6 +105,7 @@ def test_search_eta_table(capsys):
     assert "eta(4) = 13" in out
     assert "exhaustion n=6, omega<=2: 0 graphs (10 examined, 7 labellings)" in out
     assert "exhaustion n=9, omega<=3: 0 graphs (98 examined, 34 labellings)" in out
+    assert "exhaustion n=14, omega<=4: 0 graphs (3071 examined, 533 labellings)" in out
 
 
 def test_search_eta_single_r(capsys):

@@ -22,7 +22,12 @@ from boxagree import (
 )
 from boxagree import fixtures
 from boxagree import graphs
-from boxagree.graphs import _canonical_labelling, _cliques_within, _root_partition
+from boxagree.graphs import (
+    _canonical_labelling,
+    _cliques_within,
+    _membership,
+    _root_partition,
+)
 
 from helpers import (
     automorphism_orbits_oracle,
@@ -112,6 +117,15 @@ def test_count_cliques_prunes_by_size_on_cocktail_party():
     assert time.perf_counter() - start < 1.0
 
 
+def test_has_clique_of_size_stops_at_the_first():
+    # K_64 has C(64, 32) cliques of 32 vertices, so only a search that stops
+    # at the first one it finds can answer
+    start = time.perf_counter()
+    assert graphs.has_clique_of_size(complete(64), 32)
+    assert not graphs.has_clique_of_size(complete(64), 33, within=(1 << 32) - 1)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_clique_counts_match_per_size_counts_and_oracle_random():
     rng = Random(13)
     for _ in range(60):
@@ -145,9 +159,12 @@ def test_cliques_within_matches_subset_oracle():
         for g in _all_labeled_graphs(n):
             for hit in ((), [rng.randint(1, full) for _ in range(rng.randint(1, 2))]):
                 cliques = cliques_oracle(g, hit)
+                member = _membership(n, hit)
                 for floor in range(-1, 5):
                     for ceiling in range(-1, 5):
-                        found = list(_cliques_within(g._adj, full, floor, ceiling, hit))
+                        found = _cliques_within(g._adj, full, floor, ceiling,
+                                                member, (1 << len(hit)) - 1)
+                        assert len(found) == len(set(found)), (g, hit, floor, ceiling)
                         assert sorted(found) == [
                             c for c in cliques if floor <= c.bit_count() <= ceiling
                         ], (g, hit, floor, ceiling)

@@ -21,13 +21,19 @@ from boxagree import boxicity, decide_boxicity_leq, fixtures, intersection_graph
 from boxagree.boxicity import BudgetExhausted
 from boxagree.graphs import (
     _canonical_labelling,
-    _cliques_within,
     _orbit_roots,
     canonical_certificate,
     canonical_form,
 )
 
-from helpers import agreeable_classes_oracle, cycle, levels_oracle, post_hoc_levels
+from helpers import (
+    agreeable_classes_oracle,
+    all_cliques,
+    attachments_oracle,
+    cycle,
+    levels_oracle,
+    post_hoc_levels,
+)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -91,12 +97,29 @@ def test_levels_match_the_unshortcut_walk(n, r):
         assert {adj for adj, _, _ in level} == {adj for adj, _ in expected}, k
 
 
+@pytest.mark.parametrize(("n", "r"), [(13, 4), (9, 3), (8, 3)])
+def test_admissible_cliques_match_the_unshortcut_list(n, r):
+    # every parent of the walk: each admissible clique once, and exactly
+    # the ones the unshortcut scan keeps
+    degree_cap = default_eta_table().entry(r - 1).upper_bound
+    parents = 0
+    for k, level in enumerate(search._levels(n - 1, r, {}), start=1):
+        for adj, _, r_cliques in level:
+            deg = [m.bit_count() for m in adj]
+            found = list(search._admissible_cliques(
+                adj, deg, r_cliques, k - degree_cap, k - max(deg)))
+            assert len(found) == len(set(found)), (k, adj)
+            assert set(found) == set(attachments_oracle(adj, r, degree_cap)), (k, adj)
+            parents += 1
+    assert parents == sum(enumerate_agreeable(n - 1, r).level_sizes)
+
+
 @pytest.mark.parametrize(("n", "r"), [(13, 4), (9, 3), (2, 1)])
 def test_levels_carry_their_r_cliques(n, r):
     work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0}
     for k, level in enumerate(search._levels(n, r, work), start=1):
         for adj, _, r_cliques in level:
-            assert sorted(r_cliques) == sorted(_cliques_within(adj, (1 << k) - 1, r, r))
+            assert sorted(r_cliques) == sorted(c for c in all_cliques(adj) if c.bit_count() == r)
 
 
 def test_levels_carry_true_automorphism_orbits():
@@ -350,6 +373,21 @@ def test_min_proportion_builds_no_witness(monkeypatch):
     g38a = fixtures.expected_graph("fig38a")
     witness = decide_boxicity_leq(g38a, 2).witness
     assert witness.dimension == 2 and intersection_graph(witness) == g38a
+
+
+@pytest.mark.parametrize(("d", "work"), [
+    (2, {"examined": 2259, "labellings": 382, "orbit": 601, "not_canonical": 927,
+         "boxicity": 227}),
+    (3, {"examined": 3071, "labellings": 533, "orbit": 855, "not_canonical": 1188,
+         "boxicity": 13}),
+])
+def test_min_proportion_reports_its_walk(d, work):
+    result = min_agreement_proportion(4, d)
+    assert result.work == work
+    # every attachment examined is pruned by one rule or kept as a class
+    pruned = work["orbit"] + work["not_canonical"] + work["boxicity"]
+    assert work["examined"] == pruned + sum(result.level_sizes[1:])
+    assert ProportionResult(Fraction(1, 5), (), ()).work == {}
 
 
 def test_min_proportion_desk_scale_limits():
