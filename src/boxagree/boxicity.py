@@ -289,10 +289,13 @@ def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> Boxic
     Returns "yes" with a realizing d-box arrangement, "no" once no d of
     the maximal realizable masks separate every non-edge, or "inconclusive"
     when the budget cannot pay for the search.  Complete graphs are rejected
-    (their boxicity is 0 by convention, so there is nothing to search).
+    (their boxicity is 0 by convention, so there is nothing to search), and
+    so is a negative budget; budget 0 is "inconclusive" at once.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     if g.is_complete():
         raise ValueError("complete graph: boxicity is 0 by convention")
     tracker = _Budget(budget)
@@ -313,7 +316,10 @@ def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> Boxic
 def boxicity_report(g: Graph, budget: int = DEFAULT_BUDGET) -> BoxicityReport:
     """Lower/upper bounds with the exact value filled in when the decision
     search can close the gap within budget.  One DP serves every d >= 2;
-    the budget covers the whole report, and `nodes` is what it spent."""
+    the budget covers the whole report, and `nodes` is what it spent.
+    A negative budget raises ValueError."""
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     tracker = _Budget(budget)
     return replace(_report(g, tracker), nodes=tracker.spent, dp_sets=tracker.dp_sets)
 

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -193,7 +194,12 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The six-subcommand parser, built on the first call and reused after:
+    `parse_args` returns a fresh Namespace each time, so nothing carries
+    from one `main` call to the next.  Every caller gets the same parser
+    object, so none may add to it."""
     parser = argparse.ArgumentParser(
         prog="boxagree",
         description="Exact analysis of (2,3)-agreeable box societies: "
@@ -238,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,27 @@ def test_beta_positive_above_dimension():
     assert beta_convex(4, 6, 3) > 0
 
 
+def test_beta_matches_a_decimal_oracle():
+    # 1 - (1 - ratio)^(1/(d+1)) at 60 digits; the float code must not lose
+    # the small bounds to cancellation, e.g. (8, 197, 7) was 0.5% off
+    worst = 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for k in range(2, 12):
+            for m in [*range(k, 220, 7), 197]:
+                for d in range(1, 10):
+                    got = beta_convex(k, m, d)
+                    num = math.comb(k, d + 1)
+                    if num == 0:
+                        assert got == 0.0
+                        continue
+                    ratio = Decimal(num) / math.comb(m, d + 1)
+                    exact = 1 - (1 - ratio) ** (Decimal(1) / (d + 1))
+                    assert got > 0
+                    worst = max(worst, abs(Decimal(got) - exact) / exact)
+    assert worst <= Decimal("1e-12")
+
+
 def test_beta_preconditions():
     with pytest.raises(ValueError):
         beta_convex(1, 3, 1)
@@ -99,6 +121,20 @@ def test_gamma_lower_values():
     assert gamma_lower(1) == 0.5
     assert abs(gamma_lower(2) - 0.23) < 0.01
     assert abs(gamma_lower(5) - 0.02) < 0.01
+
+
+def test_gamma_lower_matches_a_decimal_oracle():
+    # The oracle iterates the map as written, (-2 - x + sqrt(...)) / (2(x - 2)).
+    # Its numerator cancels about log10(1/x) digits (x is near 1e-301 at
+    # d = 1000), so it runs at 400 digits to keep 60 after the cancellation.
+    with localcontext() as ctx:
+        ctx.prec = 400
+        x = Decimal(1) / 2
+        for d in range(1, 1001):
+            got = gamma_lower(d)
+            assert got > 0
+            assert abs(Decimal(got) - x) / x <= Decimal("1e-12")
+            x = (-2 - x + (4 - 4 * x + 5 * x * x).sqrt()) / (2 * (x - 2))
 
 
 def test_printed_table_reproduction():

@@ -117,6 +117,19 @@ def test_budget_exhaustion_is_inconclusive():
     assert decision.witness is None
 
 
+def test_negative_budget_is_refused_and_zero_is_inconclusive():
+    g = fixtures.load("fig38c")
+    with pytest.raises(ValueError, match="need budget >= 0"):
+        decide_boxicity_leq(g, 2, budget=-5)
+    with pytest.raises(ValueError, match="need budget >= 0"):
+        boxicity_report(g, -5)
+    decision = decide_boxicity_leq(g, 2, budget=0)
+    assert (decision.status, decision.nodes) == ("inconclusive", 0)
+    report = boxicity_report(g, 0)
+    assert report.exact is None
+    assert report.notes == ("budget exhausted in the d = 1 interval test",)
+
+
 def test_report_path_is_interval():
     rep = boxicity_report(path(3))
     assert rep.exact == 1

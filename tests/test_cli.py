@@ -1,19 +1,33 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from boxagree import Arrangement, fixtures
-from boxagree.cli import main
+from boxagree.cli import build_parser, main
 from boxagree.formats import serialize_arrangement, serialize_graph
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*args):
+    """`python -m boxagree.cli ...` or `python -c ...` against this tree's src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
 
 
 def test_analyze_fixture_text(capsys):
@@ -99,6 +113,14 @@ def test_bounds_command(capsys):
     assert "beta(2,3,1)" in out
 
 
+def test_bounds_prints_no_negative_zero_at_large_d():
+    # the root map used to cancel to -0.0 from d = 60 on
+    proc = run_module("-m", "boxagree.cli", "bounds", "--d-max", "60")
+    assert proc.returncode == 0, proc.stderr
+    assert " 60 " in proc.stdout
+    assert "-0.0000" not in proc.stdout
+
+
 def test_search_eta_table(capsys):
     code, out, _ = run(capsys, "search-eta")
     assert code == 0
@@ -153,6 +175,18 @@ def test_boxicity_command_refuses_a_padded_cycle_at_once(tmp_path, capsys):
     assert "budget exhausted in the vertex-order DP" in out
 
 
+def test_negative_budgets_are_usage_errors(capsys):
+    code, out, err = run(capsys, "boxicity", "fig38c", "--budget", "-5")
+    assert (code, out) == (2, "")
+    assert "need budget >= 0" in err
+    code, out, err = run(capsys, "analyze", "fig38c", "--boxicity", "--boxicity-budget", "-1")
+    assert (code, out) == (2, "")
+    assert "need budget >= 0" in err
+    code, out, _ = run(capsys, "boxicity", "fig38c", "--budget", "0")
+    assert code == 0
+    assert "budget exhausted in the d = 1 interval test" in out
+
+
 def test_boxicity_command_settles_fig134(capsys):
     code, out, _ = run(capsys, "boxicity", "fig134")
     assert code == 0
@@ -199,3 +233,37 @@ def test_verify_paper_passes(capsys):
     assert "FAIL" not in out
     eta_line = "eta table: eta(1) = 2  eta(2) = 5  eta(3) = 8  eta(4) = 13  eta(5) <= 18"
     assert eta_line in out.splitlines()
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    calls = [
+        ["analyze", "z5", "--boxicity", "--json"],
+        ["analyze", "z5", "--json"],
+        ["bounds"],
+        ["fixtures", "dump", "k_partite", "3"],
+        ["verify-paper", "--budget", "5"],
+        ["analyze", "fig38b", "--json"],
+    ]
+
+    def one(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    build_parser.cache_clear()
+    first = [one(argv) for argv in calls]
+    assert [code for code, _ in first] == [0, 0, 0, 0, 2, 0]
+    assert "boxicity" in json.loads(first[0][1])
+    assert "boxicity" not in json.loads(first[1][1])
+    assert [one(argv) for argv in calls] == first
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2 * len(calls) - 1, 1)
+
+
+def test_import_builds_no_parser():
+    proc = run_module("-c", "import boxagree.cli as cli; "
+                      "print(cli.build_parser.cache_info().currsize)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
