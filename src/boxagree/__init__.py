@@ -56,7 +56,6 @@ from .graphs import (
     is_agreeable,
     is_interval_graph,
     interval_clique_order,
-    maximal_cliques,
     strip_universal,
 )
 from .search import (

@@ -19,12 +19,13 @@ separate every non-edge.  At d = 1 the one axis separates every non-edge,
 so g itself is tested for being interval.
 
 The cover only decides: it returns the masks it chose.  The public
-decision and report turn them into axis graphs, whose consecutive clique
-orders place the witness boxes; the orderly walk's filter (`_at_most`)
-reads only the yes or no.  "No" comes only from a finished DP and cover; a
-budget too small for them yields "inconclusive".  Every "yes" carries a
-realizing arrangement whose intersection graph is re-derived and compared
-bit-exactly.
+decision and report turn them into axis graphs, whose maximal cliques come
+from the maximum cardinality search of interval recognition and whose
+consecutive clique orders place the witness boxes; the orderly walk's
+filter (`_at_most`) reads only the yes or no.  "No" comes only from a
+finished DP and cover; a budget too small for them yields "inconclusive".
+Every "yes" carries a realizing arrangement whose intersection graph is
+re-derived and compared bit-exactly.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .geometry import Arrangement, Box, RationalInterval, intersection_graph
 from .graphs import (
     Graph,
     _bits,
+    _chordal_cliques,
     _clique_order,
     interval_clique_order,
     is_interval_graph,
@@ -255,7 +257,8 @@ def _axis_orders(g: Graph, non_edges: list[tuple[int, int]],
                  chosen: list[int]) -> list[list[int] | None]:
     """A consecutive clique order of each chosen mask's axis graph, g plus
     the non-edges the mask does not separate.  The DP made every axis graph
-    interval, so each goes straight to the order search."""
+    interval, so each goes straight from its cliques to the order search;
+    one that is not even chordal gets None."""
     orders = []
     for m in chosen:
         adj = list(g._adj)
@@ -263,7 +266,8 @@ def _axis_orders(g: Graph, non_edges: list[tuple[int, int]],
             if not m >> i & 1:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-        orders.append(_clique_order(Graph.from_masks(g.n, adj)))
+        cliques = _chordal_cliques(g.n, tuple(adj))
+        orders.append(None if cliques is None else _clique_order(g.n, cliques))
     return orders
 
 

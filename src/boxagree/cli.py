@@ -46,10 +46,6 @@ def _usage(message: str) -> int:
     return USAGE_ERROR
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def cmd_analyze(args) -> int:
     obj = _load_source(args.source, args.as_arrangement)
     if isinstance(obj, Arrangement):
@@ -67,7 +63,7 @@ def cmd_analyze(args) -> int:
         "n": g.n,
         "edges": [list(e) for e in g.edges()],
         "agreement_number": omega,
-        "agreement_proportion": _frac_str(Fraction(omega, g.n)),
+        "agreement_proportion": str(Fraction(omega, g.n)),
         "agreeable_2_3": agreeable,
         "degree_min": profile.min_degree,
         "degree_max": profile.max_degree,

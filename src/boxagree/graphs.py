@@ -2,8 +2,10 @@
 
 Vertices are labelled 1..n with n capped at 64 so each adjacency row fits in
 one machine word; all the heavy queries (cliques, canonical forms with
-automorphism generators, interval recognition) run on those bitsets.
-Graphs are immutable values and every function here is pure.
+automorphism generators, interval recognition) run on those bitsets.  One
+maximum cardinality search both decides chordality and lists the maximal
+cliques that a consecutive clique order arranges.  Graphs are immutable
+values and every function here is pure.
 """
 
 from __future__ import annotations
@@ -144,8 +146,9 @@ def degree_profile(g: Graph) -> DegreeProfile:
 # ---------------------------------------------------------------------------
 
 
-def _max_clique_size(n: int, adj: tuple[int, ...]) -> int:
-    """Branch and bound over candidate bitsets."""
+def _max_clique_size(adj: tuple[int, ...], cand: int) -> int:
+    """The clique number of the subgraph induced on the bitset `cand`, by
+    branch and bound: a branch stops once its vertices cannot beat the best."""
     best = 0
 
     def expand(cand: int, size: int) -> None:
@@ -159,13 +162,13 @@ def _max_clique_size(n: int, adj: tuple[int, ...]) -> int:
             cand &= cand - 1
             expand(cand & adj[v], size + 1)
 
-    expand((1 << n) - 1, 0)
+    expand(cand, 0)
     return best
 
 
 def clique_number(g: Graph) -> int:
     """Exact clique number via bitset branch and bound."""
-    return _max_clique_size(g.n, g._adj)
+    return _max_clique_size(g._adj, (1 << g.n) - 1)
 
 
 def _membership(n: int, sets) -> list[int]:
@@ -223,24 +226,6 @@ def _cliques_within(adj: tuple[int, ...], cand: int, floor: int, ceiling: int,
     if ceiling >= 1:
         grow(0, cand, floor, ceiling, need)
     return out
-
-
-def has_clique_of_size(g: Graph, s: int, within: int | None = None) -> bool:
-    """True iff some s-clique exists (restricted to the `within` bitset if
-    given); the search stops at the first one."""
-    if s <= 0:
-        return True
-    adj = g._adj
-
-    def found(cand: int, s: int) -> bool:
-        while cand.bit_count() >= s:
-            low = cand & -cand
-            cand ^= low
-            if s == 1 or found(cand & adj[low.bit_length() - 1], s - 1):
-                return True
-        return False
-
-    return found((1 << g.n) - 1 if within is None else within, s)
 
 
 def _is_clique(mask: int, adj: tuple[int, ...]) -> bool:
@@ -320,17 +305,18 @@ def is_agreeable(g: Graph, k: int, m: int) -> bool:
     Vacuously true when m exceeds the vertex count.  Every k = 2 query is
     answered through the complement: every m-subset holds an edge exactly
     when no m vertices are independent, that is when the complement's
-    clique number is below m.  Only k >= 3 scans the m-subsets.
+    clique number is below m.  Only k >= 3 scans the m-subsets, asking
+    each for its clique number.
     """
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
     if k == 2:
         return clique_number(g.complement()) < m
-    for subset in combinations(range(1, g.n + 1), m):
+    for subset in combinations(range(g.n), m):
         mask = 0
         for v in subset:
-            mask |= 1 << (v - 1)
-        if not has_clique_of_size(g, k, within=mask):
+            mask |= 1 << v
+        if _max_clique_size(g._adj, mask) < k:
             return False
     return True
 
@@ -357,39 +343,6 @@ def strip_universal(g: Graph) -> tuple[Graph, int]:
 # ---------------------------------------------------------------------------
 
 
-def maximal_cliques(g: Graph) -> list[int]:
-    """All maximal cliques as bitsets (Bron-Kerbosch with pivoting)."""
-    adj = g._adj
-    out: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pool = p | x
-        pivot = (pool & -pool).bit_length() - 1
-        best = -1
-        m = pool
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            c = (p & adj[u]).bit_count()
-            if c > best:
-                best = c
-                pivot = u
-        cand = p & ~adj[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
-            cand &= cand - 1
-            bk(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
-    bk(0, (1 << g.n) - 1, 0)
-    return sorted(out)
-
-
 def is_interval_graph(g: Graph) -> bool:
     """True iff some vertex-interval family on a line realizes g exactly.
 
@@ -398,29 +351,52 @@ def is_interval_graph(g: Graph) -> bool:
     vertices each two of which a path joins that avoids the closed
     neighbourhood of the third.  Both tests are polynomial.
     """
-    return _is_chordal(g.n, g._adj) and not _has_asteroidal_triple(g.n, g._adj)
+    return (_chordal_cliques(g.n, g._adj) is not None
+            and not _has_asteroidal_triple(g.n, g._adj))
 
 
-def _is_chordal(n: int, adj: tuple[int, ...]) -> bool:
-    """Maximum cardinality search (Tarjan-Yannakakis 1984) visits next a
-    vertex with the most visited neighbours; g is chordal exactly when, for
-    every v, the neighbours visited before v are all adjacent to the last
-    of them (the reversed visit order is then a perfect elimination order)."""
-    weight = [0] * n
-    when = [0] * n
-    unvisited = (1 << n) - 1
-    for step in range(n):
-        v = max(_bits(unvisited), key=weight.__getitem__)
-        unvisited ^= 1 << v
-        when[v] = step
-        earlier = adj[v] & ~unvisited
-        if earlier:
-            u = max(_bits(earlier), key=when.__getitem__)
-            if earlier & ~adj[u] & ~(1 << u):
-                return False
-        for w in _bits(adj[v] & unvisited):
-            weight[w] += 1
-    return True
+def _chordal_cliques(n: int, adj: tuple[int, ...]) -> list[int] | None:
+    """The maximal cliques of a chordal graph as bitsets, in visit order, or
+    None when the graph is not chordal.
+
+    Maximum cardinality search visits next a vertex with the most visited
+    neighbours, the lowest such one; `buckets[c]` holds the unvisited
+    vertices with c visited neighbours.  The graph is chordal exactly when
+    every vertex's visited neighbours form a clique (Tarjan-Yannakakis
+    1984: the reversed visit order is then a perfect elimination order).
+    A vertex and its visited neighbours form a maximal clique exactly when
+    the next vertex has no more visited neighbours than it, or it is the
+    last (Blair-Peyton 1993)."""
+    buckets = [0] * (n + 1)
+    buckets[0] = (1 << n) - 1
+    top = 0
+    visited = 0
+    cliques: list[int] = []
+    clique = 0  # the vertex visited last and its visited neighbours
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        row = adj[low.bit_length() - 1]
+        earlier = row & visited
+        if not _is_clique(earlier, adj):
+            return None
+        if top < clique.bit_count():
+            cliques.append(clique)
+        clique = earlier | low
+        visited |= low
+        later = row & ~visited
+        c = top
+        while later:  # each unvisited neighbour moves up one bucket
+            moved = buckets[c] & later
+            buckets[c] ^= moved
+            buckets[c + 1] |= moved
+            later ^= moved
+            c -= 1
+        top += 1
+    cliques.append(clique)
+    return cliques
 
 
 def _components(adj: tuple[int, ...], within: int):
@@ -462,33 +438,28 @@ def _has_asteroidal_triple(n: int, adj: tuple[int, ...]) -> bool:
 def interval_clique_order(g: Graph) -> list[int] | None:
     """A linear order of the maximal cliques in which every vertex's cliques
     are consecutive (Gilmore-Hoffman), or None when g is not an interval
-    graph.  `is_interval_graph` decides first, so only an interval graph
-    reaches the order search."""
-    return _clique_order(g) if is_interval_graph(g) else None
+    graph.  The search that decides chordality lists the cliques, and only
+    an interval graph reaches the order search."""
+    cliques = _chordal_cliques(g.n, g._adj)
+    if cliques is None or _has_asteroidal_triple(g.n, g._adj):
+        return None
+    return _clique_order(g.n, cliques)
 
 
-def _clique_order(g: Graph) -> list[int] | None:
-    """A consecutive clique order of g, or None when there is none.
+def _clique_order(n: int, cliques: list[int]) -> list[int] | None:
+    """A consecutive order of the maximal cliques `cliques` of a graph on n
+    vertices, or None when there is none.
 
-    Backtracking over clique sequences; at each step any open vertex that
-    still has unplaced cliques forces membership in the next clique, which
-    keeps the branching narrow.  Proving that no order exists can take
-    every order of the cliques, so callers pass only interval graphs: the
-    graphs that `is_interval_graph` accepts and the axis graphs of a
-    boxicity cover.
+    Backtracking over clique sequences, trying the cliques in ascending
+    order; at each step any open vertex that still has unplaced cliques
+    forces membership in the next clique, which keeps the branching narrow.
+    Proving that no order exists can take every order of the cliques, so
+    callers pass only interval graphs: the graphs that `is_interval_graph`
+    accepts and the axis graphs of a boxicity cover.
     """
-    cliques = maximal_cliques(g)
+    cliques = sorted(cliques)
     mcount = len(cliques)
-    if mcount <= 1:
-        return cliques
-    member: list[int] = [0] * g.n  # clique-index bitset per vertex
-    for ci, cl in enumerate(cliques):
-        m = cl
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            member[v] |= 1 << ci
-
+    member = _membership(n, cliques)  # clique-index bitset per vertex
     order: list[int] = []
 
     def dfs(used: int, opened: int, closed: int) -> bool:

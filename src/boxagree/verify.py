@@ -80,9 +80,9 @@ def run_paper_checks() -> list[CheckResult]:
     g_z5 = intersection_graph(z5)
     _check(results, "z5 graph", g_z5 == fixtures.expected_graph("z5"),
            f"edges {list(g_z5.edges())}")
-    _check(results, "z5 agreement", agreement_number(z5) == 2
-           and agreement_proportion(z5) == Fraction(2, 5),
-           f"omega {agreement_number(z5)}, proportion {agreement_proportion(z5)}")
+    omega_z5, prop_z5 = agreement_number(z5), agreement_proportion(z5)
+    _check(results, "z5 agreement", omega_z5 == 2 and prop_z5 == Fraction(2, 5),
+           f"omega {omega_z5}, proportion {prop_z5}")
     fz = f_vector(z5)
     _check(results, "z5 f-vector", fz.entries == (5, 5, 0, 0, 0), f"{fz.entries}")
 
@@ -93,9 +93,9 @@ def run_paper_checks() -> list[CheckResult]:
            f"16 edges expected, got {g38a.edge_count()}")
     _check(results, "fig38a regular", p38a.min_degree == p38a.max_degree == 4,
            f"degrees {p38a.degrees}")
-    _check(results, "fig38a omega/triangles",
-           clique_number(g38a) == 3 and count_cliques_of_size(g38a, 3) == 8,
-           f"omega {clique_number(g38a)}, triangles {count_cliques_of_size(g38a, 3)}")
+    omega38a, tri38a = clique_number(g38a), count_cliques_of_size(g38a, 3)
+    _check(results, "fig38a omega/triangles", omega38a == 3 and tri38a == 8,
+           f"omega {omega38a}, triangles {tri38a}")
     f38a = f_vector(a38)
     _check(results, "fig38a f-vector", f38a.f(1) == 16 and f38a.f(2) == 8,
            f"f1={f38a.f(1)}, f2={f38a.f(2)}")
@@ -105,11 +105,10 @@ def run_paper_checks() -> list[CheckResult]:
     p38b = degree_profile(g38b)
     _check(results, "fig38b graph", g38b == fixtures.expected_graph("fig38b"),
            f"17 edges expected, got {g38b.edge_count()}")
-    _check(results, "fig38b degrees/omega",
-           p38b.max_degree == 5 and clique_number(g38b) == 3,
-           f"max degree {p38b.max_degree}, omega {clique_number(g38b)}")
-    _check(results, "fig38b triangles", count_cliques_of_size(g38b, 3) == 10,
-           f"{count_cliques_of_size(g38b, 3)}")
+    omega38b, tri38b = clique_number(g38b), count_cliques_of_size(g38b, 3)
+    _check(results, "fig38b degrees/omega", p38b.max_degree == 5 and omega38b == 3,
+           f"max degree {p38b.max_degree}, omega {omega38b}")
+    _check(results, "fig38b triangles", tri38b == 10, f"{tri38b}")
     f38b = f_vector(b38)
     _check(results, "fig38b f-vector", f38b.f(1) == 17 and f38b.f(2) == 10,
            f"f1={f38b.f(1)}, f2={f38b.f(2)}")
@@ -126,26 +125,25 @@ def run_paper_checks() -> list[CheckResult]:
            g134.n == 13 and g134.edge_count() == 52
            and p134.min_degree == p134.max_degree == 8,
            f"n={g134.n}, |E|={g134.edge_count()}, degrees {p134.degrees}")
+    omega134, quads134 = clique_number(g134), count_cliques_of_size(g134, 4)
     _check(results, "fig134 cliques",
-           clique_number(g134) == 4 and count_cliques_of_size(g134, 4) == 39
-           and is_agreeable(g134, 2, 3),
-           f"omega {clique_number(g134)}, size-4 cliques "
-           f"{count_cliques_of_size(g134, 4)}")
+           omega134 == 4 and quads134 == 39 and is_agreeable(g134, 2, 3),
+           f"omega {omega134}, size-4 cliques {quads134}")
     _check(results, "fig134 proportion",
-           Fraction(clique_number(g134), g134.n) == Fraction(4, 13),
+           Fraction(omega134, g134.n) == Fraction(4, 13),
            "4/13")
 
     w4 = fixtures.load("w4")
     hub_stripped, k = strip_universal(w4)
     four_cycle = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    omega_w4, min_deg_w4 = clique_number(w4), min(w4.degrees())
     _check(results, "w4 wheel",
-           is_agreeable(w4, 2, 3) and clique_number(w4) == 3 and k == 1
+           is_agreeable(w4, 2, 3) and omega_w4 == 3 and k == 1
            and hub_stripped == four_cycle,
            f"stripped {k}, remainder edges {list(hub_stripped.edges())}")
-    _check(results, "w4 strict degree slack",
-           min(w4.degrees()) == 3 > w4.n - clique_number(w4) - 1,
-           f"min degree {min(w4.degrees())} vs n-omega-1 = "
-           f"{w4.n - clique_number(w4) - 1}")
+    slack = w4.n - omega_w4 - 1
+    _check(results, "w4 strict degree slack", min_deg_w4 == 3 > slack,
+           f"min degree {min_deg_w4} vs n-omega-1 = {slack}")
 
     for r in (1, 2, 3):
         camp = fixtures.two_camps(r)
@@ -194,9 +192,9 @@ def run_paper_checks() -> list[CheckResult]:
            and abs(bounds.root_map(0.5) - exact.value()) < 1e-12
            and abs(exact.value() - (5 - math.sqrt(13)) / 6) < 1e-15,
            f"(5 - sqrt(13))/6 = {exact.value():.6f}")
-    _check(results, "beta(2,3,1)",
-           abs(bounds.beta_convex(2, 3, 1) - (1 - math.sqrt(2 / 3))) < 1e-12,
-           f"{bounds.beta_convex(2, 3, 1):.6f} vs 1 - sqrt(2/3)")
+    beta231 = bounds.beta_convex(2, 3, 1)
+    _check(results, "beta(2,3,1)", abs(beta231 - (1 - math.sqrt(2 / 3))) < 1e-12,
+           f"{beta231:.6f} vs 1 - sqrt(2/3)")
     _check(results, "beta(2,3,2)", bounds.beta_convex(2, 3, 2) == 0.0, "0 exactly")
     _check(results, "main bound dominates",
            all(float(bounds.main_lower_bound(d)) >= bounds.gamma_lower(d) - 1e-12

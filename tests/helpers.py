@@ -197,11 +197,42 @@ def is_chordal_oracle(g: Graph) -> bool:
     return True
 
 
+def maximal_cliques_oracle(g: Graph) -> list[int]:
+    """Every maximal clique of g as a bitset, ascending, by Bron-Kerbosch
+    with pivoting: it needs no chordality, unlike the library's search."""
+    adj = g._adj
+    out: list[int] = []
+
+    def bk(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        pool = p | x
+        pivot = max(_bits(pool), key=lambda u: (p & adj[u]).bit_count())
+        for v in _bits(p & ~adj[pivot]):
+            bk(r | 1 << v, p & adj[v], x & adj[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    bk(0, (1 << g.n) - 1, 0)
+    return sorted(out)
+
+
 def interval_order_oracle(g: Graph) -> bool:
     """Interval by the definition (Gilmore-Hoffman): some order of the
     maximal cliques keeps every vertex's cliques consecutive, found by the
     library's backtracking search, exponential on a "no"."""
-    return _clique_order(g) is not None
+    return _clique_order(g.n, maximal_cliques_oracle(g)) is not None
+
+
+def is_agreeable_oracle(g: Graph, k: int, m: int) -> bool:
+    """Every m-subset of vertices holds a k-subset whose pairs are all edges,
+    by scanning the subsets."""
+    return all(
+        any(all(g.has_edge(u, v) for u, v in combinations(sub, 2))
+            for sub in combinations(subset, k))
+        for subset in combinations(range(1, g.n + 1), m)
+    )
 
 
 def maximal_interval_masks_oracle(g: Graph) -> list[int]:

@@ -35,8 +35,10 @@ from helpers import (
     complete,
     cycle,
     interval_order_oracle,
+    is_agreeable_oracle,
     is_chordal_oracle,
     max_clique_oracle,
+    maximal_cliques_oracle,
     path,
     random_graph,
     refine_oracle,
@@ -117,12 +119,13 @@ def test_count_cliques_prunes_by_size_on_cocktail_party():
     assert time.perf_counter() - start < 1.0
 
 
-def test_has_clique_of_size_stops_at_the_first():
+def test_max_clique_size_bounds_away_the_other_cliques_of_k64():
     # K_64 has C(64, 32) cliques of 32 vertices, so only a search that stops
-    # at the first one it finds can answer
+    # a branch once it cannot beat the best clique so far can answer
+    adj = complete(64)._adj
     start = time.perf_counter()
-    assert graphs.has_clique_of_size(complete(64), 32)
-    assert not graphs.has_clique_of_size(complete(64), 33, within=(1 << 32) - 1)
+    assert graphs._max_clique_size(adj, (1 << 32) - 1) == 32
+    assert graphs._max_clique_size(adj, (1 << 64) - 1) == 64
     assert time.perf_counter() - start < 1.0
 
 
@@ -205,6 +208,19 @@ def test_is_agreeable_k2_matches_subset_scan():
             brute = all(any(g.has_edge(u, v) for u, v in combinations(subset, 2))
                         for subset in combinations(range(1, g.n + 1), m))
             assert is_agreeable(g, 2, m) == brute, (g, m)
+
+
+def test_is_agreeable_k3_k4_matches_subset_scan():
+    rng = Random(17)
+    agreeable = 0
+    for _ in range(60):
+        g = random_graph(rng, max_n=9, p=rng.choice((0.5, 0.7, 0.9)))
+        for k in (3, 4):
+            for m in range(k, g.n + 2):
+                verdict = is_agreeable(g, k, m)
+                assert verdict == is_agreeable_oracle(g, k, m), (g, k, m)
+                agreeable += verdict and m <= g.n  # m > n is vacuous
+    assert agreeable > 100
 
 
 def test_agreeable_matches_triple_scan_random():
@@ -306,9 +322,31 @@ def test_interval_verdict_matches_order_search_on_seeded_graphs():
         g = random_graph(rng, max_n=10, p=rng.uniform(0.2, 0.9))
         verdicts.append(is_interval_graph(g))
         assert verdicts[-1] == interval_order_oracle(g), g
-        assert graphs._is_chordal(g.n, g._adj) == is_chordal_oracle(g), g
+        assert (graphs._chordal_cliques(g.n, g._adj) is None) == (not is_chordal_oracle(g)), g
         assert (interval_clique_order(g) is None) == (not verdicts[-1])
     assert 200 < sum(verdicts) < 1000
+
+
+def _assert_chordal_cliques(g: Graph) -> bool:
+    cliques = graphs._chordal_cliques(g.n, g._adj)
+    chordal = is_chordal_oracle(g)
+    assert (cliques is not None) == chordal, g
+    if chordal:
+        assert sorted(cliques) == maximal_cliques_oracle(g), g
+    return chordal
+
+
+def test_chordal_cliques_match_oracles_on_every_small_graph():
+    for n in range(1, 7):
+        for g in _all_labeled_graphs(n):
+            _assert_chordal_cliques(g)
+
+
+def test_chordal_cliques_match_oracles_on_seeded_graphs():
+    rng = Random(43)
+    chordal = sum(_assert_chordal_cliques(random_graph(rng, max_n=13, p=rng.uniform(0.1, 0.95)))
+                  for _ in range(2000))
+    assert 500 < chordal < 1800
 
 
 def _padded(g: Graph, extra: int) -> Graph:
