@@ -5,11 +5,17 @@ A box is exposed when an axis-parallel hyperplane supports it and every box
 missing that hyperplane lies in the opposite half-space.  The box whose
 lower endpoint c on axis 1 is largest is exposed by {x_1 = c}: every other
 box has lo <= c, so one that misses the hyperplane has hi < c and lies on
-the far side.  That one candidate is all `find_exposed` builds, and an
-independent validator still checks it.  Note the naive sweep picture (move
-a hyperplane in from infinity; the first box it touches is exposed) picks
-the largest *upper* endpoint instead and can fail the opposite-side
-condition, e.g. for [0,10] and [2,3] on a line.
+the far side.  That lemma is why `find_exposed` returns its one candidate
+unchecked; `validate_exposure` is the independent check that tests and
+`verify-paper` apply to it.  Note the naive sweep picture (move a
+hyperplane in from infinity; the first box it touches is exposed) picks the
+largest *upper* endpoint instead and can fail the opposite-side condition,
+e.g. for [0,10] and [2,3] on a line.
+
+Splitting at box i leaves B', the family without box i, and B'', the pieces
+B_i & B_j.  The intersection graph of B' is G - i, and by the Helly property
+its cliques count f(B'); so B' is read off the arrangement's cached graph
+and only B'' is swept.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .geometry import Arrangement, Box, FVector, f_vector, intersect_boxes
+from .geometry import (Arrangement, Box, FVector, f_vector, intersect_boxes,
+                       intersection_graph)
+from .graphs import clique_counts
 from .search import default_eta_table
 
 
@@ -37,23 +45,19 @@ class ExposureCertificate:
 def validate_exposure(arr: Arrangement, cert: ExposureCertificate) -> bool:
     """Check the two defining conditions directly: the hyperplane supports
     the box on the named face, and every box disjoint from the hyperplane
-    sits strictly on the other side."""
-    if not 1 <= cert.axis <= arr.dimension:
-        return False
-    if cert.side not in ("lower", "upper"):
+    sits strictly on the other side.  A box index, axis or side out of range
+    is not a certificate, so it gets False."""
+    if not (1 <= cert.box_index <= arr.n and 1 <= cert.axis <= arr.dimension
+            and cert.side in ("lower", "upper")):
         return False
     q = arr.box(cert.box_index).sides[cert.axis - 1]
     c = cert.coordinate
-    if cert.side == "lower":
-        if q.lo != c:
-            return False
-    else:
-        if q.hi != c:
-            return False
-    for j in range(1, arr.n + 1):
+    if (q.lo if cert.side == "lower" else q.hi) != c:
+        return False  # the hyperplane does not support the named face
+    for j, box in enumerate(arr.boxes, start=1):
         if j == cert.box_index:
             continue
-        side = arr.box(j).sides[cert.axis - 1]
+        side = box.sides[cert.axis - 1]
         if side.contains(c):
             continue  # meets the hyperplane
         if cert.side == "lower" and side.lo > c:
@@ -65,31 +69,24 @@ def validate_exposure(arr: Arrangement, cert: ExposureCertificate) -> bool:
 
 def find_exposed(arr: Arrangement) -> ExposureCertificate:
     """The lemma's certificate: axis 1, lower face, the least index whose
-    lower endpoint there is the largest, c; the hyperplane is {x_1 = c}."""
+    lower endpoint there is the largest, c; the hyperplane is {x_1 = c}.
+    The module docstring proves it exposed, so it is not re-validated."""
     lows = [b.sides[0].lo for b in arr.boxes]
     c = max(lows)
-    cert = ExposureCertificate(lows.index(c) + 1, 1, "lower", c)
-    if not validate_exposure(arr, cert):  # pragma: no cover - see the module docstring
-        raise RuntimeError("no exposed box found; arrangement state corrupt")
-    return cert
+    return ExposureCertificate(lows.index(c) + 1, 1, "lower", c)
 
 
-def split(arr: Arrangement, i: int) -> tuple[Arrangement, dict[int, Box | None]]:
-    """Drop box i, and intersect it with every other box.
-
-    Returns (the n-1 remaining boxes as an arrangement, a map from each
-    other original index to its intersection with box i, absent entries
-    kept as None)."""
+def split(arr: Arrangement, i: int) -> dict[int, Box | None]:
+    """B'' for box i: a map from each other index j to B_i & B_j, None where
+    they miss, so the keys stay the indices of B' (G - i)."""
     if arr.n < 2:
         raise ValueError("splitting needs at least two boxes")
     bi = arr.box(i)
-    rest = arr.drop(i)
-    pieces = {
+    return {
         j: intersect_boxes(bi, arr.box(j))
         for j in range(1, arr.n + 1)
         if j != i
     }
-    return rest, pieces
 
 
 def _f_partial(dimension: int, pieces: dict[int, Box | None]) -> FVector:
@@ -103,15 +100,16 @@ def _f_partial(dimension: int, pieces: dict[int, Box | None]) -> FVector:
 
 def split_identity_failures(arr: Arrangement) -> tuple[int, ...]:
     """The k in 1..n-1 where f_k(B) == f_k(B') + f_{k-1}(B'') fails, with
-    the split taken once at the exposed box.  Each side counts cliques of
-    every size in one traversal of its own intersection graph, so all k
-    cost what one does."""
-    cert = find_exposed(arr)
-    rest, pieces = split(arr, cert.box_index)
-    # row k holds f_k(B), f_k(B') and f_{k-1}(B''), 0 past each stored range
+    the split taken once at the exposed box.  f(B) and f(B') are clique
+    counts of the arrangement's cached graph and of G - i; only B'' is
+    swept.  Each side counts cliques of every size in one traversal, so all
+    k cost what one does."""
+    pieces = split(arr, find_exposed(arr).box_index)
+    # row k holds f_k(B), f_k(B') and f_{k-1}(B''), 0 past each stored range;
+    # B' is G - i, whose vertices are the keys of `pieces`
     rows = zip_longest(
         f_vector(arr).entries[1:],
-        f_vector(rest).entries[1:],
+        clique_counts(intersection_graph(arr).induced(pieces))[1:],
         _f_partial(arr.dimension, pieces).entries,
         fillvalue=0,
     )

@@ -39,7 +39,11 @@ RationalLike = Fraction | int | str
 
 
 def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, bool)):  # a float is rounded already, a bool is a flag
+        raise TypeError(f"endpoint must be an int, a Fraction or a 'p/q' string, got {x!r}")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ class Box:
     @classmethod
     def of(cls, pairs) -> Box:
         """Build a box from (lo, hi) pairs of ints, strings or Fractions."""
-        return cls(tuple(RationalInterval(_frac(lo), _frac(hi)) for lo, hi in pairs))
+        return cls(tuple(RationalInterval(lo, hi) for lo, hi in pairs))
 
     @property
     def dimension(self) -> int:
@@ -148,15 +152,6 @@ class Arrangement:
         if not 1 <= i <= self.n:
             raise IndexError(f"box index {i} out of range 1..{self.n}")
         return self.boxes[i - 1]
-
-    def drop(self, i: int) -> Arrangement:
-        """The sub-family without box i (requires n >= 2)."""
-        if self.n < 2:
-            raise ValueError("cannot drop from a single-box arrangement")
-        self.box(i)
-        return Arrangement(
-            self.dimension, self.boxes[: i - 1] + self.boxes[i:]
-        )
 
     @cached_property
     def _graph(self) -> Graph:

@@ -241,7 +241,7 @@ def run_paper_checks() -> list[CheckResult]:
            f"box {auto.box_index} by axis {auto.axis} {auto.side} face at "
            f"{auto.coordinate}")
     idx = find_exposed(a38).box_index
-    _, pieces = split(a38, idx)
+    pieces = split(a38, idx)
     present = sum(1 for b in pieces.values() if b is not None)
     _check(results, "fig38a split degree", present == 4,
            f"{present} present entries at exposed box {idx}")

@@ -14,7 +14,7 @@ from boxagree import (
     validate_exposure,
     verify_split_identity,
 )
-from boxagree import MissingEtaError, fixtures
+from boxagree import MissingEtaError, fixtures, geometry
 
 from helpers import random_arrangement
 
@@ -56,23 +56,27 @@ def test_validator_rejects_bogus_certificates():
     assert validate_exposure(line, ExposureCertificate(2, 1, "lower", Fraction(2)))
 
 
+def test_validator_rejects_a_box_index_out_of_range():
+    z5 = fixtures.load("z5")
+    for index in (0, 6, -1):
+        assert not validate_exposure(z5, ExposureCertificate(index, 1, "lower", Fraction(1)))
+
+
 def test_split_two_disjoint_boxes():
     arr = Arrangement.of(2, [[(0, 1), (0, 1)], [(2, 3), (2, 3)]])
-    rest, pieces = split(arr, 1)
-    assert rest.n == 1
-    assert pieces == {2: None}
+    assert split(arr, 1) == {2: None}
 
 
 def test_split_fig38a_at_exposed_box_has_four_pieces():
     a38 = fixtures.load("fig38a")
     idx = find_exposed(a38).box_index
-    rest, pieces = split(a38, idx)
-    assert rest.n == 7
+    pieces = split(a38, idx)
+    assert sorted(pieces) == [j for j in range(1, 9) if j != idx]
     assert sum(1 for b in pieces.values() if b is not None) == 4
 
 
 def test_split_z5_at_box_one():
-    _, pieces = split(fixtures.load("z5"), 1)
+    pieces = split(fixtures.load("z5"), 1)
     assert sum(1 for b in pieces.values() if b is not None) == 2
     assert set(pieces) == {2, 3, 4, 5}
 
@@ -80,6 +84,29 @@ def test_split_z5_at_box_one():
 def test_split_single_box_rejected():
     with pytest.raises(ValueError):
         split(Arrangement.of(1, [[(0, 1)]]), 1)
+
+
+@pytest.mark.parametrize("specs, swept", [
+    # the exposed box (largest lower endpoint) meets others: B and B''
+    ([[(0, 2)], [(1, 3)], [(4, 6)], [(5, 7)]], [4, 1]),
+    ([[(0, 4), (0, 4)], [(2, 4), (1, 5)], [(3, 5), (3, 5)]], [3, 2]),
+    # it meets none, so B'' is empty: B alone
+    ([[(0, 2)], [(1, 3)], [(5, 6)]], [3]),
+    ([[(0, 1)], [(2, 3)]], [2]),
+])
+def test_split_identity_sweeps_the_arrangement_and_the_pieces_only(monkeypatch, specs, swept):
+    # B' is G - i on the arrangement's cached graph, never swept on its own
+    sizes = []
+    real_sweep = geometry._sweep
+
+    def counted(arr):
+        sizes.append(arr.n)
+        return real_sweep(arr)
+
+    monkeypatch.setattr(geometry, "_sweep", counted)
+    arr = Arrangement.of(len(specs[0]), specs)
+    assert split_identity_failures(arr) == ()
+    assert sizes == swept
 
 
 def test_split_identity_on_z5_all_k():

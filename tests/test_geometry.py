@@ -47,6 +47,17 @@ def test_box_coerces_mixed_rational_inputs():
     b = Box.of([("1/2", 2), (0, "7/3")])
     assert b.sides[0].lo == Fraction(1, 2)
     assert b.sides[1].hi == Fraction(7, 3)
+    kept = Fraction(1, 3)
+    assert Box.of([(kept, 1)]).sides[0].lo is kept
+
+
+@pytest.mark.parametrize("endpoint", [0.1, 2.0, True, False])
+def test_box_refuses_float_and_bool_endpoints(endpoint):
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        Box.of([(endpoint, 3)])
+    with pytest.raises(TypeError):
+        RationalInterval(Fraction(0), endpoint)
 
 
 def test_intersect_idempotent():
@@ -187,7 +198,8 @@ def test_dropped_box_graph_is_induced_subgraph():
             continue
         i = rng.randint(1, arr.n)
         rest = [v for v in range(1, arr.n + 1) if v != i]
-        assert intersection_graph(arr.drop(i)) == intersection_graph(arr).induced(rest)
+        dropped = Arrangement(arr.dimension, arr.boxes[:i - 1] + arr.boxes[i:])
+        assert intersection_graph(dropped) == intersection_graph(arr).induced(rest)
 
 
 # -- agreement number and proportion ---------------------------------------

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 from boxagree import exposure, fixtures, search, verify
-from boxagree.exposure import split_identity_failures
+from boxagree.exposure import ExposureCertificate, split_identity_failures
 
 CHECK_NAMES = [
     "z5 graph", "z5 agreement", "z5 f-vector",
@@ -54,9 +56,9 @@ def test_split_identity_check_fails_when_a_piece_is_dropped(monkeypatch):
     real_split = exposure.split
 
     def lossy_split(arr, i):
-        rest, pieces = real_split(arr, i)
+        pieces = real_split(arr, i)
         j = next(j for j, b in pieces.items() if b is not None)
-        return rest, {**pieces, j: None}
+        return {**pieces, j: None}
 
     monkeypatch.setattr(exposure, "split", lossy_split)
     # a lost present piece undercounts f_0(B''), so k = 1 fails
@@ -64,3 +66,14 @@ def test_split_identity_check_fails_when_a_piece_is_dropped(monkeypatch):
     check = _by_name(verify.run_paper_checks())["split identity on fixtures"]
     assert not check.ok
     assert "z5 k=1..4 fails at k=[1" in check.detail
+
+
+def test_lemma_check_fails_on_a_box_that_is_not_exposed(monkeypatch):
+    # find_exposed trusts its lemma, so this check is where a wrong
+    # candidate shows: box 4 of `exposure` spans x in [0, 4], and box 1
+    # (x from 1/2) lies on the same side of {x = 0}
+    bogus = ExposureCertificate(4, 1, "lower", Fraction(0))
+    monkeypatch.setattr(verify, "find_exposed", lambda arr: bogus)
+    check = _by_name(verify.run_paper_checks())["exposure lemma validates"]
+    assert not check.ok
+    assert check.detail == "box 4 by axis 1 lower face at 0"
