@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .geometry import (Arrangement, Box, FVector, f_vector, intersect_boxes,
-                       intersection_graph)
+from .geometry import (Arrangement, Box, FVector, _lt, f_vector,
+                       intersect_boxes, intersection_graph)
 from .graphs import clique_counts
 from .search import default_eta_table
 
@@ -72,8 +72,11 @@ def find_exposed(arr: Arrangement) -> ExposureCertificate:
     lower endpoint there is the largest, c; the hyperplane is {x_1 = c}.
     The module docstring proves it exposed, so it is not re-validated."""
     lows = [b.sides[0].lo for b in arr.boxes]
-    c = max(lows)
-    return ExposureCertificate(lows.index(c) + 1, 1, "lower", c)
+    i = 0
+    for j in range(1, arr.n):
+        if _lt(lows[i], lows[j]):
+            i = j
+    return ExposureCertificate(i + 1, 1, "lower", lows[i])
 
 
 def split(arr: Arrangement, i: int) -> dict[int, Box | None]:
@@ -100,8 +103,8 @@ def _f_partial(dimension: int, pieces: dict[int, Box | None]) -> FVector:
 
 def split_identity_failures(arr: Arrangement) -> tuple[int, ...]:
     """The k in 1..n-1 where f_k(B) == f_k(B') + f_{k-1}(B'') fails, with
-    the split taken once at the exposed box.  f(B) and f(B') are clique
-    counts of the arrangement's cached graph and of G - i; only B'' is
+    the split taken once at the exposed box.  f(B) is the arrangement's
+    cached f-vector and f(B') the clique counts of G - i; only B'' is
     swept.  Each side counts cliques of every size in one traversal, so all
     k cost what one does."""
     pieces = split(arr, find_exposed(arr).box_index)

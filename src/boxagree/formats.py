@@ -2,9 +2,14 @@
 graphs as a plain edge-list text format.
 
 Rationals serialize as integers where possible and as "p/q" strings
-otherwise, so round-trips are exact.  Graph files start with a header line
-``n <count>`` followed by one ``u v`` pair per line, 1-based, u < v,
-duplicates rejected.
+otherwise, so round-trips are exact.  A coordinate is read as
+`geometry._frac` reads an endpoint: a JSON integer, or a string holding an
+optional sign, ASCII digits and optionally a slash and ASCII digits.
+Floats, booleans and strings outside that grammar ("1.5", "1e3", " 1/2 ",
+"1_000", "1/-2") are refused, as is a zero denominator.
+
+Graph files start with a header line ``n <count>`` followed by one ``u v``
+pair per line, 1-based, u < v, duplicates rejected.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .geometry import Arrangement, Box, RationalInterval
+from .geometry import Arrangement, Box, RationalInterval, _frac
 from .graphs import Graph
 
 
@@ -29,16 +34,15 @@ def _rational_to_json(x: Fraction):
 
 
 def _rational_from_json(x) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
-        raise FormatError(f"coordinates must be integers or 'p/q' strings, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad rational {x!r}: {exc}") from None
-    raise FormatError(f"coordinates must be integers or 'p/q' strings, got {x!r}")
+    try:
+        return _frac(x)
+    except TypeError:
+        raise FormatError(
+            f"coordinates must be integers or 'p/q' strings, got {x!r}") from None
+    except ValueError as exc:
+        raise FormatError(f"bad rational: {exc}") from None
+    except ZeroDivisionError:
+        raise FormatError(f"bad rational {x!r}: zero denominator") from None
 
 
 def serialize_arrangement(arr: Arrangement) -> str:
@@ -62,7 +66,7 @@ def parse_arrangement(text: str) -> Arrangement:
     if "dimension" not in payload or "boxes" not in payload:
         raise FormatError("arrangement file needs 'dimension' and 'boxes' keys")
     dim = payload["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FormatError(f"'dimension' must be a positive integer, got {dim!r}")
     boxes = payload["boxes"]
     if not isinstance(boxes, list) or not boxes:

@@ -20,9 +20,15 @@ graph is the AND of these rows over the axes: O(d n log n) integer
 comparisons plus n word-sized bitset ANDs per axis.
 
 Every value here is immutable.  An `Arrangement` builds its intersection
-graph on first use and keeps it (a `functools.cached_property`, outside
-equality, hashing and `repr`), so the invariants below share one build.
-Concurrent first uses may each build the graph; they build equal graphs.
+graph and its f-vector on first use and keeps them (each a
+`functools.cached_property`, outside equality, hashing and `repr`), so the
+invariants below share one build.  Concurrent first uses may each build a
+value; they build equal ones.
+
+Endpoints are `Fraction`s, read from strings by `_frac` alone (the grammar
+is in its docstring).  Interval emptiness and intersection compare them by
+cross-multiplying numerators and denominators, which is exact because
+denominators are positive.
 """
 
 from __future__ import annotations
@@ -39,11 +45,37 @@ RationalLike = Fraction | int | str
 
 
 def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
+    """`x` as a Fraction.  A string must be a rational literal: an optional
+    sign, decimal digits, then optionally a slash and decimal digits, such as
+    "7", "-3/4" or "+10/20"; the digits are ASCII.  Anything else raises
+    ValueError, including forms that `Fraction` itself reads ("1.5", "1e3",
+    " 1/2 ", "1_000"), and a zero denominator raises ZeroDivisionError.  A
+    float (it is rounded already) or a bool (a flag, not a number) raises
+    TypeError."""
+    # Fraction is an ABC, so isinstance against it is slow for anything that
+    # is not one: the exact type goes first and the subclass check last
+    if type(x) is Fraction:
         return x
-    if isinstance(x, (float, bool)):  # a float is rounded already, a bool is a flag
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        # isdigit alone would pass other scripts' digits, which int also reads
+        if (digits.isascii() and digits.isdigit()
+                and (not slash or den.isascii() and den.isdigit())):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        raise ValueError(f"{x!r} is not a rational literal: an optional sign and"
+                         " digits, then optionally '/' and digits")
+    if isinstance(x, (float, bool)):
         raise TypeError(f"endpoint must be an int, a Fraction or a 'p/q' string, got {x!r}")
-    return Fraction(x)
+    if isinstance(x, int):
+        return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _lt(a: Fraction, b: Fraction) -> bool:
+    """a < b, by cross-multiplying: exact, since denominators are positive,
+    and without `Fraction`'s comparison dispatch."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
 
 
 @dataclass(frozen=True)
@@ -56,13 +88,13 @@ class RationalInterval:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", _frac(self.lo))
         object.__setattr__(self, "hi", _frac(self.hi))
-        if self.lo > self.hi:
+        if _lt(self.hi, self.lo):
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
     def intersect(self, other: RationalInterval) -> RationalInterval | None:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return RationalInterval(lo, hi) if lo <= hi else None
+        lo = other.lo if _lt(self.lo, other.lo) else self.lo
+        hi = other.hi if _lt(other.hi, self.hi) else self.hi
+        return None if _lt(hi, lo) else RationalInterval(lo, hi)
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
@@ -157,6 +189,11 @@ class Arrangement:
     def _graph(self) -> Graph:
         return _sweep(self)
 
+    @cached_property
+    def _f_vector(self) -> FVector:
+        counts = clique_counts(intersection_graph(self))
+        return FVector(tuple(counts) + (0,) * (self.n - len(counts)))
+
 
 @dataclass(frozen=True)
 class FVector:
@@ -235,6 +272,6 @@ def agreement_proportion(arr: Arrangement) -> Fraction:
 def f_vector(arr: Arrangement) -> FVector:
     """Exact intersection counts: by the Helly property, f_k is the number of
     (k+1)-cliques of the intersection graph, and 0 from k = omega on.  Raises
-    ValueError above the graph's 64-vertex cap."""
-    counts = clique_counts(intersection_graph(arr))
-    return FVector(tuple(counts) + (0,) * (arr.n - len(counts)))
+    ValueError above the graph's 64-vertex cap.  Counted once per
+    arrangement, like the graph."""
+    return arr._f_vector

@@ -166,6 +166,24 @@ def _max_clique_size(adj: tuple[int, ...], cand: int) -> int:
     return best
 
 
+def _has_clique(adj: tuple[int, ...], cand: int, target: int) -> bool:
+    """Whether the subgraph induced on the bitset `cand` holds a clique of
+    `target` vertices.  It returns at the first one found, and a branch
+    stops once its vertices cannot reach `target`."""
+
+    def grow(cand: int, size: int) -> bool:
+        if size == target:
+            return True
+        while size + cand.bit_count() >= target:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if grow(cand & adj[v], size + 1):
+                return True
+        return False
+
+    return grow(cand, 0)
+
+
 def clique_number(g: Graph) -> int:
     """Exact clique number via bitset branch and bound."""
     return _max_clique_size(g._adj, (1 << g.n) - 1)
@@ -245,6 +263,8 @@ def count_cliques_of_size(g: Graph, s: int) -> int:
         raise ValueError(f"s must be in 1..{g.n}, got {s}")
     if s == 1:
         return g.n
+    if s == 2:
+        return g.edge_count()
     adj = g._adj
     total = 0
 
@@ -304,19 +324,19 @@ def is_agreeable(g: Graph, k: int, m: int) -> bool:
 
     Vacuously true when m exceeds the vertex count.  Every k = 2 query is
     answered through the complement: every m-subset holds an edge exactly
-    when no m vertices are independent, that is when the complement's
-    clique number is below m.  Only k >= 3 scans the m-subsets, asking
-    each for its clique number.
+    when no m vertices are independent, that is when the complement has no
+    m-clique.  Only k >= 3 scans the m-subsets, asking each for a k-clique.
+    Each question stops at the first clique that answers it.
     """
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
     if k == 2:
-        return clique_number(g.complement()) < m
+        return not _has_clique(g.complement()._adj, (1 << g.n) - 1, m)
     for subset in combinations(range(g.n), m):
         mask = 0
         for v in subset:
             mask |= 1 << v
-        if _max_clique_size(g._adj, mask) < k:
+        if not _has_clique(g._adj, mask, k):
             return False
     return True
 

@@ -13,6 +13,7 @@ from random import Random
 from boxagree import (
     Arrangement,
     Graph,
+    RationalInterval,
     clique_number,
     decide_boxicity_leq,
     intersect_boxes,
@@ -23,6 +24,7 @@ from boxagree.graphs import (
     _bits,
     _canonical_labelling,
     _clique_order,
+    _max_clique_size,
     _orbit_roots,
     canonical_certificate,
 )
@@ -81,6 +83,14 @@ def brute_force_f_vector(arr: Arrangement) -> list[int]:
             if running is not None:
                 counts[size - 1] += 1
     return counts
+
+
+def interval_meet_oracle(a: RationalInterval,
+                         b: RationalInterval) -> RationalInterval | None:
+    """The meet of two closed intervals by `Fraction`'s own max, min and
+    <=, with no integer shortcut."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    return RationalInterval(lo, hi) if lo <= hi else None
 
 
 def lower_endpoint_depth(arr: Arrangement) -> int:
@@ -232,6 +242,18 @@ def is_agreeable_oracle(g: Graph, k: int, m: int) -> bool:
         any(all(g.has_edge(u, v) for u, v in combinations(sub, 2))
             for sub in combinations(subset, k))
         for subset in combinations(range(1, g.n + 1), m)
+    )
+
+
+def is_agreeable_by_clique_number(g: Graph, k: int, m: int) -> bool:
+    """The (k, m) test through full clique numbers, with no early stop: for
+    k = 2 the complement's clique number is below m, and for k >= 3 every
+    m-subset's clique number reaches k."""
+    if k == 2:
+        return clique_number(g.complement()) < m
+    return all(
+        _max_clique_size(g._adj, sum(1 << v for v in subset)) >= k
+        for subset in combinations(range(g.n), m)
     )
 
 

@@ -121,6 +121,9 @@ def test_arrangement_parse_errors():
         parse_arrangement('{"dimension": 1, "boxes": [[[2, 1]]]}')  # empty side
     with pytest.raises(FormatError):
         parse_arrangement('{"dimension": 1, "boxes": [[[0.5, 1]]]}')  # float
+    for flag in ("true", "false"):  # an int to isinstance, written back as a bool
+        with pytest.raises(FormatError, match="dimension"):
+            parse_arrangement(f'{{"dimension": {flag}, "boxes": [[[0, 1]], [[1, 2]]]}}')
 
 
 def test_arrangement_round_trip_random():

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from random import Random
@@ -19,10 +20,13 @@ from boxagree import (
     is_agreeable,
 )
 from boxagree import fixtures
+from boxagree.formats import FormatError, parse_arrangement
+from boxagree.geometry import _frac, _lt
 
 from helpers import (
     brute_force_depth,
     brute_force_f_vector,
+    interval_meet_oracle,
     lower_endpoint_depth,
     pairwise_intersection_graph,
     random_arrangement,
@@ -58,6 +62,71 @@ def test_box_refuses_float_and_bool_endpoints(endpoint):
         Box.of([(endpoint, 3)])
     with pytest.raises(TypeError):
         RationalInterval(Fraction(0), endpoint)
+
+
+# -- rational literals and exact comparison ------------------------------------
+
+# an optional sign, digits, then optionally "/" and digits
+ACCEPTED_LITERALS = ["0", "7", "-7", "+7", "007", "1/2", "-3/4", "+10/20", "0/5",
+                     "-0/3", "6/3", "00/01", "123456789012345678901234567890/7"]
+# the first nine are read by Fraction(str) but lie outside the grammar
+REFUSED_LITERALS = ["1.5", "1e3", " 1/2", " 1/2 ", "1_000", "1/2\n", "\u0661",
+                    "\u0661/2", "1/\u0662", "1/-2", "1/+2", "/2", "3/", "", "+", "-",
+                    "1/2/3", "--1", "+-1", "1 /2", "0x10", "\u00bd"]
+
+
+@pytest.mark.parametrize("text", ACCEPTED_LITERALS)
+def test_rational_literal_reads_as_fraction_does(text):
+    assert _frac(text) == Fraction(text)
+    assert Box.of([(text, text)]).sides[0].lo == Fraction(text)
+    arr = parse_arrangement(json.dumps({"dimension": 1, "boxes": [[[text, text]]]}))
+    assert arr.box(1).sides[0].hi == Fraction(text)
+
+
+@pytest.mark.parametrize("text", REFUSED_LITERALS)
+def test_rational_literal_outside_the_grammar_is_refused(text):
+    with pytest.raises(ValueError):
+        _frac(text)
+    with pytest.raises(FormatError):
+        parse_arrangement(json.dumps({"dimension": 1, "boxes": [[[text, 9]]]}))
+
+
+def test_rational_literal_with_zero_denominator_is_refused():
+    with pytest.raises(ZeroDivisionError):
+        _frac("1/0")
+    with pytest.raises(FormatError, match="zero denominator"):
+        parse_arrangement('{"dimension": 1, "boxes": [[["1/0", 9]]]}')
+
+
+def test_cross_multiplied_less_than_agrees_with_fraction():
+    rng = Random(2203)
+    small = [Fraction(p, q) for p in range(-6, 7) for q in range(1, 7)]  # many ties
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            a, b = rng.choice(small), rng.choice(small)
+        else:
+            big = 10 ** rng.randint(1, 60)
+            a = Fraction(rng.randint(-big, big), rng.randint(1, big))
+            b = rng.choice((a, Fraction(rng.randint(-big, big), rng.randint(1, big))))
+        assert _lt(a, b) == (a < b), (a, b)
+        assert _lt(b, a) == (b < a), (a, b)
+
+
+def test_interval_emptiness_and_intersect_match_fraction_order():
+    rng = Random(2204)
+
+    def endpoint():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+
+    for _ in range(2000):
+        lo, hi = endpoint(), endpoint()
+        if hi < lo:
+            with pytest.raises(ValueError):
+                RationalInterval(lo, hi)
+            continue
+        a = RationalInterval(lo, hi)
+        b = RationalInterval(*sorted((endpoint(), endpoint())))
+        assert a.intersect(b) == interval_meet_oracle(a, b), (a, b)
 
 
 def test_intersect_idempotent():
@@ -187,6 +256,22 @@ def test_cached_graph_stays_out_of_equality_hash_and_repr():
     assert built == fresh and hash(built) == hash(fresh)
     assert repr(built) == before == repr(fresh)
     intersection_graph(fresh)
+    assert built == fresh and hash(built) == hash(fresh)
+
+
+def test_f_vector_is_counted_once_per_arrangement():
+    arr = fixtures.load("fig38a")
+    assert f_vector(arr) is f_vector(arr)
+
+
+def test_cached_f_vector_stays_out_of_equality_hash_and_repr():
+    specs = [[(0, 2), (0, 1)], [(1, 3), ("1/2", 4)], [(5, 6), (0, 1)]]
+    built, fresh = Arrangement.of(2, specs), Arrangement.of(2, specs)
+    before = repr(built)
+    f_vector(built)
+    assert built == fresh and hash(built) == hash(fresh)
+    assert repr(built) == before == repr(fresh)
+    assert f_vector(fresh) == f_vector(built)
     assert built == fresh and hash(built) == hash(fresh)
 
 

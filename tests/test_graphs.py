@@ -25,6 +25,7 @@ from boxagree import graphs
 from boxagree.graphs import (
     _canonical_labelling,
     _cliques_within,
+    _has_clique,
     _membership,
     _root_partition,
 )
@@ -35,6 +36,7 @@ from helpers import (
     complete,
     cycle,
     interval_order_oracle,
+    is_agreeable_by_clique_number,
     is_agreeable_oracle,
     is_chordal_oracle,
     max_clique_oracle,
@@ -230,6 +232,33 @@ def test_agreeable_matches_triple_scan_random():
         if g.n < 3:
             continue
         assert is_agreeable(g, 2, 3) == triple_induced_edge_property(g)
+
+
+def test_is_agreeable_matches_clique_number_forms():
+    rng = Random(2205)
+    for _ in range(300):
+        g = random_graph(rng, max_n=12, p=rng.choice((0.2, 0.5, 0.8, 0.95)))
+        for m in range(2, 6):
+            for k in range(2, min(m, 3) + 1):
+                verdict = is_agreeable(g, k, m)
+                assert verdict == is_agreeable_by_clique_number(g, k, m), (g, k, m)
+
+
+def test_is_agreeable_stops_at_the_first_independent_triple():
+    # the complement of C_64 is dense; its clique number is 32
+    start = time.perf_counter()
+    assert not is_agreeable(cycle(64), 2, 3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_has_clique_matches_clique_number():
+    rng = Random(2206)
+    for _ in range(200):
+        g = random_graph(rng, max_n=10, p=rng.choice((0.3, 0.6, 0.9)))
+        omega = max_clique_oracle(g)
+        full = (1 << g.n) - 1
+        for target in range(g.n + 2):
+            assert _has_clique(g._adj, full, target) == (target <= omega), (g, target)
 
 
 # -- universal stripping --------------------------------------------------------
