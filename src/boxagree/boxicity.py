@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .geometry import Arrangement, Box, RationalInterval, intersection_graph
+from .geometry import Arrangement, intersection_graph
 from .graphs import (
     Graph,
     _bits,
@@ -105,28 +105,26 @@ def roberts_upper_bound(g: Graph) -> int:
     return 0 if g.is_complete() else g.n // 2
 
 
-def _interval_witness_axis(order: list[int]) -> dict[int, tuple[Fraction, Fraction]]:
-    """Vertex -> (lo, hi) positions from a consecutive clique order."""
-    spans: dict[int, tuple[int, int]] = {}
+def _interval_witness_axis(n: int, order: list[int]) -> tuple[int, list[int], list[int]]:
+    """One scale-1 grid axis from a consecutive clique order: each vertex
+    spans its first to its last position."""
+    lows, highs = [0] * n, [0] * n
     for pos, clique in enumerate(order, start=1):
         for v in _bits(clique):
-            first, _ = spans.get(v, (pos, pos))
-            spans[v] = (first, pos)
-    return {v: (Fraction(a), Fraction(b)) for v, (a, b) in spans.items()}
+            if not lows[v]:
+                lows[v] = pos
+            highs[v] = pos
+    return 1, lows, highs
 
 
 def _build_witness(g: Graph, d: int, orders: list[list[int] | None]) -> Arrangement:
-    """The d-box arrangement with one axis per consecutive clique order."""
+    """The d-box arrangement with one axis per consecutive clique order;
+    unused axes span [0, 1]."""
     if None in orders:  # pragma: no cover - construction invariant
         raise RuntimeError("a chosen axis graph is not an interval graph")
-    axes = [_interval_witness_axis(order) for order in orders]
-    while len(axes) < d:
-        axes.append({v: (Fraction(0), Fraction(1)) for v in range(g.n)})
-    boxes = []
-    for v in range(g.n):
-        sides = tuple(RationalInterval(*axis[v]) for axis in axes)
-        boxes.append(Box(sides))
-    witness = Arrangement(d, tuple(boxes))
+    axes = [_interval_witness_axis(g.n, order) for order in orders]
+    axes += [(1, [0] * g.n, [1] * g.n)] * (d - len(axes))
+    witness = Arrangement._of_grid(d, axes)
     if intersection_graph(witness) != g:  # pragma: no cover - construction invariant
         raise RuntimeError("witness arrangement does not realize the graph")
     return witness

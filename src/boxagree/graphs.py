@@ -47,17 +47,23 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
+    def _bit(self, v: int) -> int:
+        """The 0-based index of label v; ValueError outside 1..n."""
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        return v - 1
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u - 1] >> (v - 1) & 1)
+        return bool(self._adj[self._bit(u)] >> self._bit(v) & 1)
 
     def degree(self, v: int) -> int:
-        return self._adj[v - 1].bit_count()
+        return self._adj[self._bit(v)].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self._adj)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(u + 1 for u in _bits(self._adj[v - 1]))
+        return frozenset(u + 1 for u in _bits(self._adj[self._bit(v)]))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
@@ -87,18 +93,28 @@ class Graph:
         )
 
     def induced(self, labels) -> Graph:
-        """Subgraph induced by the given labels, relabelled 1..k in sorted order."""
+        """Subgraph induced by the given labels, relabelled 1..k in sorted
+        order; ValueError for a label outside 1..n.  Each run of consecutive
+        kept labels moves into place with one shift and mask per row."""
         keep = sorted(set(labels))
         if not keep:
             raise ValueError("induced subgraph needs at least one vertex")
-        pos = {v: i for i, v in enumerate(keep)}
+        self._bit(keep[0]), self._bit(keep[-1])  # ValueError outside 1..n
+        runs = []  # (source bit, mask, target bit) per run of consecutive labels
+        start = prev = keep[0]
+        target = 0
+        for v in keep[1:] + [0]:  # 0 closes the last run
+            if v != prev + 1:
+                runs.append((start - 1, (1 << (prev - start + 1)) - 1, target))
+                target += prev - start + 1
+                start = v
+            prev = v
         masks = []
         for v in keep:
-            m = 0
             row = self._adj[v - 1]
-            for w in keep:
-                if row >> (w - 1) & 1:
-                    m |= 1 << pos[w]
+            m = 0
+            for source, mask, target in runs:
+                m |= (row >> source & mask) << target
             masks.append(m)
         return Graph.from_masks(len(keep), tuple(masks))
 

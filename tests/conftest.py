@@ -1,4 +1,17 @@
 import sys
+import tempfile
 from pathlib import Path
 
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# the same examples on every run, and no example database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+# Hypothesis still caches the constants it finds in the test modules; that
+# cache goes to a temporary directory, removed at exit, not to the checkout
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)

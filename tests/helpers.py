@@ -7,6 +7,7 @@ checked against something that cannot share their bugs.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from random import Random
 
@@ -44,6 +45,52 @@ def random_arrangement(rng: Random, max_n: int = 8, max_d: int = 3,
             sides.append((min(a, b), max(a, b)))
         boxes.append(sides)
     return Arrangement.of(d, boxes)
+
+
+# denominators that rational coordinates draw from: small ones shared across
+# axes, and pairwise coprime ones near 10^9 whose lcm outgrows a machine word
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 999_999_937, 999_999_929, 1_000_000_000)
+
+
+def random_rational_specs(rng: Random, max_n: int = 12, max_d: int = 4) -> list:
+    """Per-box (lo, hi) Fraction pairs: negative and positive coordinates
+    over mixed denominators, with repeated endpoints, zero-width sides and
+    repeated boxes."""
+    d, n = rng.randint(1, max_d), rng.randint(1, max_n)
+    dens = [rng.sample(DENOMINATORS, rng.randint(1, 3)) for _ in range(d)]
+    boxes: list[list[tuple[Fraction, Fraction]]] = []
+    for _ in range(n):
+        if boxes and rng.random() < 0.1:
+            boxes.append(list(rng.choice(boxes)))
+            continue
+        sides = []
+        for axis in range(d):
+            q = rng.choice(dens[axis])
+            a = Fraction(rng.randint(-4 * q, 4 * q), q)
+            if rng.random() < 0.2:
+                b = a
+            else:
+                q = rng.choice(dens[axis])
+                b = Fraction(rng.randint(-4 * q, 4 * q), q)
+            sides.append((min(a, b), max(a, b)))
+        boxes.append(sides)
+    return boxes
+
+
+def rational_literal(rng: Random, x: Fraction):
+    """x as a JSON coordinate: an int, or a "p/q" string, unreduced by a
+    random factor and with an optional explicit sign."""
+    if x.denominator == 1 and rng.random() < 0.5:
+        return int(x)
+    k = rng.choice((1, 1, 2, 3, 10))
+    sign = "+" if x >= 0 and rng.random() < 0.3 else ""
+    return f"{sign}{x.numerator * k}/{x.denominator * k}"
+
+
+def split_oracle(arr: Arrangement, i: int) -> dict:
+    """B'' for box i by `intersect_boxes` on the Fraction boxes."""
+    bi = arr.box(i)
+    return {j: intersect_boxes(bi, arr.box(j)) for j in range(1, arr.n + 1) if j != i}
 
 
 def random_graph(rng: Random, max_n: int = 10, p: float = 0.5) -> Graph:

@@ -6,6 +6,7 @@ import pytest
 from boxagree import (
     Arrangement,
     ExposureCertificate,
+    intersection_graph,
     e_upper_closed,
     e_upper_recurrence,
     find_exposed,
@@ -15,8 +16,9 @@ from boxagree import (
     verify_split_identity,
 )
 from boxagree import MissingEtaError, fixtures, geometry
+from boxagree.formats import parse_arrangement, serialize_arrangement
 
-from helpers import random_arrangement
+from helpers import random_arrangement, random_rational_specs, split_oracle
 
 
 def test_exposure_figure_claim_validates():
@@ -79,6 +81,27 @@ def test_split_z5_at_box_one():
     pieces = split(fixtures.load("z5"), 1)
     assert sum(1 for b in pieces.values() if b is not None) == 2
     assert set(pieces) == {2, 3, 4, 5}
+
+
+def test_split_pieces_match_the_intersect_boxes_oracle():
+    rng = Random(2302)
+    present = absent = 0
+    for _ in range(300):
+        specs = random_rational_specs(rng)
+        arr = Arrangement.of(len(specs[0]), specs)
+        if arr.n < 2:
+            continue
+        for i in range(1, arr.n + 1):
+            pieces = split(arr, i)
+            assert pieces == split_oracle(arr, i)
+            present += sum(b is not None for b in pieces.values())
+            absent += sum(b is None for b in pieces.values())
+    assert present > 1000 and absent > 1000
+
+
+def test_split_index_out_of_range():
+    with pytest.raises(IndexError):
+        split(fixtures.load("z5"), 6)
 
 
 def test_split_single_box_rejected():
@@ -165,6 +188,46 @@ def test_find_exposed_is_the_lemma_candidate():
         assert cert == ExposureCertificate(lows.index(max(lows)) + 1, 1, "lower", max(lows))
         assert validate_exposure(arr, cert)
     assert zero_width > 1000 and repeated > 1000
+
+
+def test_find_exposed_matches_a_fraction_oracle_on_rational_coordinates():
+    # the largest axis-1 lower endpoint by Fraction order, least index on
+    # ties; repeated boxes and shared endpoints make the ties
+    rng = Random(2303)
+    ties = 0
+    for _ in range(1000):
+        specs = random_rational_specs(rng, max_n=10, max_d=3)
+        arr = Arrangement.of(len(specs[0]), specs)
+        lows = [b.sides[0].lo for b in arr.boxes]
+        top = max(lows)
+        cert = find_exposed(arr)
+        assert cert == ExposureCertificate(lows.index(top) + 1, 1, "lower", top)
+        assert type(cert.coordinate) is Fraction
+        ties += lows.count(top) > 1
+    assert ties > 100
+
+
+def test_exposure_and_split_identity_build_no_fraction_intervals(monkeypatch):
+    # parse, graph, f-vector, exposure and the split identity read the grid
+    built = []
+    real_post_init = geometry.RationalInterval.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real_post_init(self)
+
+    texts = [serialize_arrangement(fixtures.load(name))
+             for name in ("z5", "fig38a", "fig38b", "exposure")]
+    monkeypatch.setattr(geometry.RationalInterval, "__post_init__", counted)
+    for text in texts:
+        arr = parse_arrangement(text)
+        intersection_graph(arr)
+        geometry.f_vector(arr)
+        find_exposed(arr)
+        assert split_identity_failures(arr) == ()
+    assert built == []
+    # the Fraction view is where intervals are built
+    assert arr.box(1) and len(built) == arr.n * arr.dimension
 
 
 # -- recurrences ---------------------------------------------------------------

@@ -164,6 +164,29 @@ def test_graph_parse_error_line_numbers():
         parse_graph("vertices 3\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("n 3\n1 1_0\n", 2),       # int() reads "1_0" as 10
+    ("n 3\n+1 2\n", 2),
+    ("n 3\n1 \u0662\n", 2),   # an Arabic-Indic 2
+    ("n 3\n-1 2\n", 2),
+    ("n +3\n1 2\n", 1),
+    ("n \u0663\n1 2\n", 1),
+    ("n 1_0\n1 2\n", 1),
+])
+def test_graph_counts_and_labels_are_ascii_digits(text, line):
+    with pytest.raises(FormatError) as err:
+        parse_graph(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("count", [0, 65, 10 ** 20])
+def test_graph_vertex_count_out_of_range_is_a_format_error(count):
+    with pytest.raises(FormatError, match=f"vertex count must be in 1..64, got {count}") as err:
+        parse_graph(f"\nn {count}\n")
+    assert err.value.line == 2
+    assert parse_graph("n 64\n1 64\n").edges() == ((1, 64),)
+
+
 def test_graph_blank_lines_tolerated():
     g = parse_graph("\nn 3\n\n1 2\n\n")
     assert g.edges() == ((1, 2),)

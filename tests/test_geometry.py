@@ -30,6 +30,8 @@ from helpers import (
     lower_endpoint_depth,
     pairwise_intersection_graph,
     random_arrangement,
+    random_rational_specs,
+    rational_literal,
 )
 
 
@@ -174,6 +176,56 @@ def test_intersect_associative_where_defined(a, b, c):
     bc = intersect_boxes(b, c)
     if ab is not None and bc is not None:
         assert intersect_boxes(ab, c) == intersect_boxes(a, bc)
+
+
+# -- the integer grid ---------------------------------------------------------
+
+
+def test_parsed_grid_equals_the_built_one():
+    # unreduced literals ("2/4"), signs, zero-width sides and coprime
+    # denominators near 10^9: parsing and `Arrangement.of` meet on one grid
+    rng = Random(2301)
+    unreduced = big = degenerate = 0
+    for _ in range(400):
+        specs = random_rational_specs(rng)
+        literals = [[[rational_literal(rng, lo), rational_literal(rng, hi)] for lo, hi in box]
+                    for box in specs]
+        text = json.dumps({"dimension": len(specs[0]), "boxes": literals})
+        parsed, built = parse_arrangement(text), Arrangement.of(len(specs[0]), specs)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed._scales == built._scales and parsed._lows == built._lows
+        assert repr(parsed) == repr(built)
+        assert parsed.boxes == built.boxes
+        assert [[(s.lo, s.hi) for s in b.sides] for b in parsed.boxes] == specs
+        unreduced += any(isinstance(x, str) and math.gcd(*map(int, x.split("/"))) > 1
+                         for box in literals for side in box for x in side)
+        big += max(parsed._scales) > 10 ** 9
+        degenerate += any(lo == hi for box in specs for lo, hi in box)
+    assert unreduced > 100 and big > 100 and degenerate > 100
+
+
+def test_grid_scale_is_the_least_common_denominator():
+    arr = parse_arrangement('{"dimension": 2, "boxes": [[["2/4", "6/4"], [-3, "10/5"]],'
+                            ' [["-1/6", "-1/6"], ["+0/7", 1]]]}')
+    assert arr._scales == (6, 1)
+    assert arr._lows == ((3, -1), (-3, 0)) and arr._highs == ((9, -1), (2, 1))
+    assert arr == Arrangement.of(2, [[("1/2", "3/2"), (-3, 2)], [("-1/6", "-1/6"), (0, 1)]])
+
+
+def test_boxes_are_a_view_built_on_first_read():
+    arr = parse_arrangement('{"dimension": 1, "boxes": [[["1/2", 2]], [[0, "2/3"]]]}')
+    assert "boxes" not in vars(arr)
+    assert intersection_graph(arr).edges() == ((1, 2),)
+    assert "boxes" not in vars(arr)
+    assert arr.box(2) == Box.of([(0, "2/3")]) and arr.boxes is arr.boxes
+
+
+def test_grid_equality_tells_arrangements_apart():
+    base = Arrangement.of(1, [[(0, "1/2")], [(1, 2)]])
+    assert base != Arrangement.of(1, [[(0, "1/3")], [(1, 2)]])
+    assert base != Arrangement.of(1, [[(1, 2)], [(0, "1/2")]])
+    assert base != Arrangement.of(2, [[(0, "1/2"), (0, 1)], [(1, 2), (0, 1)]])
+    assert base == Arrangement(1, base.boxes) == Arrangement.of(1, [[(0, "2/4")], [(1, 2)]])
 
 
 # -- intersection graphs ----------------------------------------------------

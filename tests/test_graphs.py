@@ -82,6 +82,50 @@ def test_induced_subgraph_relabels():
     assert h.edges() == ((1, 2), (2, 3))
 
 
+def _induced_oracle(g: Graph, keep: list[int]) -> Graph:
+    """The induced subgraph pair by pair, through `has_edge`."""
+    pos = {v: i for i, v in enumerate(keep, start=1)}
+    return Graph(len(keep), [(pos[u], pos[v]) for u, v in combinations(keep, 2)
+                             if g.has_edge(u, v)])
+
+
+def test_induced_subgraph_matches_pairwise_oracle():
+    # label sets with many runs, single labels, the whole graph and G - i
+    rng = Random(12)
+    for _ in range(300):
+        g = random_graph(rng, max_n=64, p=rng.random())
+        k = rng.randint(1, g.n)
+        keep = sorted(rng.sample(range(1, g.n + 1), k))
+        assert g.induced(reversed(keep)) == _induced_oracle(g, keep)
+        i = rng.randint(1, g.n)
+        rest = [v for v in range(1, g.n + 1) if v != i]
+        if rest:
+            assert g.induced(rest) == _induced_oracle(g, rest)
+
+
+@pytest.mark.parametrize("labels", [[0], [1, 0], [4], [2, 4], [-1, 2]])
+def test_induced_rejects_labels_out_of_range(labels):
+    # 0 once shifted by a negative count, 4 once indexed past the rows
+    with pytest.raises(ValueError, match="out of range 1..3"):
+        Graph(3, [(2, 3)]).induced(labels)
+
+
+def test_vertex_queries_reject_labels_out_of_range():
+    g = Graph(3, [(2, 3)])
+    for v in (0, 4, -1):
+        # 0 once read vertex 3's row, through index -1
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            g.degree(v)
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            g.neighbors(v)
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            g.has_edge(1, v)
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            g.has_edge(v, 1)
+    assert g.degree(3) == 1 and g.neighbors(3) == {2}
+    assert g.has_edge(3, 2) and not g.has_edge(1, 3)
+
+
 # -- cliques ------------------------------------------------------------------
 
 

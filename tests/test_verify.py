@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from boxagree import exposure, fixtures, search, verify
+from boxagree import Arrangement, exposure, fixtures, search, verify
 from boxagree.exposure import ExposureCertificate, split_identity_failures
 
 CHECK_NAMES = [
@@ -43,7 +43,8 @@ def test_each_walk_and_split_runs_once_per_pass(monkeypatch):
     walks, splits = [], []
     # every module binding, so that a call through any of them counts
     _counting(monkeypatch, walks, search.min_agreement_proportion, search, verify)
-    _counting(monkeypatch, splits, exposure.split, exposure, verify)
+    # `split` and the split identity both build B'' through `_split`
+    _counting(monkeypatch, splits, exposure._split, exposure)
     results = _by_name(verify.run_paper_checks())
     assert walks == [(2, 1), (2, 2)]
     # one per fixture of the split-identity check, one for "fig38a split degree"
@@ -53,14 +54,14 @@ def test_each_walk_and_split_runs_once_per_pass(monkeypatch):
 
 
 def test_split_identity_check_fails_when_a_piece_is_dropped(monkeypatch):
-    real_split = exposure.split
+    real_split = exposure._split
 
     def lossy_split(arr, i):
-        pieces = real_split(arr, i)
-        j = next(j for j, b in pieces.items() if b is not None)
-        return {**pieces, j: None}
+        met, pieces = real_split(arr, i)
+        rest = pieces.boxes[1:]
+        return met[1:], Arrangement(pieces.dimension, rest) if rest else None
 
-    monkeypatch.setattr(exposure, "split", lossy_split)
+    monkeypatch.setattr(exposure, "_split", lossy_split)
     # a lost present piece undercounts f_0(B''), so k = 1 fails
     assert 1 in split_identity_failures(fixtures.load("z5"))
     check = _by_name(verify.run_paper_checks())["split identity on fixtures"]
