@@ -77,6 +77,10 @@ def parse_arrangement(text: str) -> Arrangement:
     boxes = payload["boxes"]
     if not isinstance(boxes, list) or not boxes:
         raise FormatError("'boxes' must be a non-empty list")
+    # box 1's shape bounds `dim` by the input's size before anything is
+    # set up per axis
+    if not isinstance(boxes[0], list) or len(boxes[0]) != dim:
+        raise FormatError(f"box 1 must list exactly {dim} [lo, hi] pairs")
     # per axis, each box's low then its high, as numerators and denominators
     nums: list[list[int]] = [[] for _ in range(dim)]
     dens: list[list[int]] = [[] for _ in range(dim)]

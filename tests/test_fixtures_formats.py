@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -125,6 +126,22 @@ def test_arrangement_parse_errors():
         with pytest.raises(FormatError, match="dimension"):
             parse_arrangement(f'{{"dimension": {flag}, "boxes": [[[0, 1]], [[1, 2]]]}}')
 
+
+def test_arrangement_dimension_is_checked_against_box_1_before_any_setup():
+    # a large 'dimension' with a short box is refused with memory kept to the
+    # input's size; nothing is set up per axis before box 1 matches it
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="box 1 must list exactly 1000000 "):
+            parse_arrangement('{"dimension": 1000000, "boxes": [[]]}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(FormatError, match="box 1 must list exactly"):
+        parse_arrangement('{"dimension": 1000000000000, "boxes": [[[0, 1]]]}')
+    with pytest.raises(FormatError, match="box 1 must list exactly"):
+        parse_arrangement('{"dimension": 1000000000000, "boxes": ["x"]}')
 
 def test_arrangement_round_trip_random():
     rng = Random(60)
