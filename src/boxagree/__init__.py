@@ -41,7 +41,6 @@ from .geometry import (
     agreement_number,
     agreement_proportion,
     f_vector,
-    intersect_boxes,
     intersection_graph,
 )
 from .graphs import (

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,10 @@ def quadratic_min_root(n: int, gamma: float) -> float:
 
 
 def comparison_table(d_max: int = 5) -> list[tuple[int, Fraction, float]]:
-    """Rows (d, 1/(2d), iterated root-map bound) for d = 1..d_max."""
+    """Rows (d, 1/(2d), iterated root-map bound) for d = 1..d_max; each row's
+    bound is the one before it with one more `root_map`, as `gamma_lower`
+    iterates it."""
     if d_max < 1:
         raise ValueError(f"need d_max >= 1, got {d_max}")
-    return [(d, main_lower_bound(d), gamma_lower(d)) for d in range(1, d_max + 1)]
+    gammas = accumulate(range(1, d_max), lambda x, _: root_map(x), initial=0.5)
+    return [(d, main_lower_bound(d), g) for d, g in zip(range(1, d_max + 1), gammas)]

@@ -18,10 +18,7 @@ B_i & B_j.  The intersection graph of B' is G - i, and by the Helly property
 its cliques count f(B'); so B' is read off the arrangement's cached graph
 and only B'' is swept.  B'' is built once on the parent's grid, each piece
 the max of the lows and the min of the highs, and is itself a grid-backed
-arrangement; `split` gives its boxes as a view.  Over the 29 inputs of a
-`societies` benchmark pass (seed 1, Python 3.11.7, a shared 2-core host)
-`find_exposed` and B'' took 0.7 ms, where `Fraction` endpoints and one
-`intersect_boxes` call per pair took 3.2 ms.
+arrangement; `split` gives its boxes as a view.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ def validate_exposure(arr: Arrangement, cert: ExposureCertificate) -> bool:
         if j == cert.box_index:
             continue
         side = box.sides[cert.axis - 1]
-        if side.contains(c):
+        if side.lo <= c <= side.hi:
             continue  # meets the hyperplane
         if cert.side == "lower" and side.lo > c:
             return False  # same (upper) side as the exposed box

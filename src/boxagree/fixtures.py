@@ -8,7 +8,7 @@ Names with a parameter are written as e.g. ``"k_partite 3"`` or
 from __future__ import annotations
 
 from .geometry import Arrangement
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
 
 class UnknownFixtureError(ValueError):
@@ -101,9 +101,10 @@ _EXPOSURE_EDGES = ((1, 6), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6))
 
 
 def k_partite(d: int) -> Graph:
-    """Complete d-partite graph on d pairs: all edges except {2i-1, 2i}."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    """Complete d-partite graph on d pairs: all edges except {2i-1, 2i}.
+    d is checked against the graph's vertex cap before any edge is listed."""
+    if not 1 <= d <= MAX_VERTICES // 2:
+        raise ValueError(f"need 1 <= d <= {MAX_VERTICES // 2}, got {d}")
     n = 2 * d
     edges = [
         (u, v)

@@ -6,12 +6,10 @@ otherwise, so round-trips are exact.  A coordinate is read as
 `geometry._pair` reads an endpoint: a JSON integer, or a string holding an
 optional sign, ASCII digits and optionally a slash and ASCII digits.
 Floats, booleans and strings outside that grammar ("1.5", "1e3", " 1/2 ",
-"1_000", "1/-2") are refused, as is a zero denominator.  Each coordinate
-becomes an integer pair (p, q); a side is checked non-empty by
-cross-multiplying, and each axis goes onto the arrangement's integer grid
-over the common denominator of its coordinates, so parsing builds no
-`Fraction`.  That took parsing the 29 inputs of a `societies` benchmark
-pass (seed 1, Python 3.11.7, a shared 2-core host) from 6.3 to 3.9 ms.
+"1_000", "1/-2") are refused, as is a zero denominator.  Past the JSON
+object and its keys, an arrangement is read and checked by
+`Arrangement.of`, the one reader of boxes, straight onto its integer grid,
+so parsing builds no `Fraction`.
 
 Graph files start with a header line ``n <count>`` followed by one ``u v``
 pair per line, 1-based, u < v, duplicates rejected.  The count and the
@@ -23,7 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .geometry import Arrangement, _grid_axis, _is_digits, _pair
+from .geometry import Arrangement, _is_digits
 from .graphs import MAX_VERTICES, Graph
 
 
@@ -37,18 +35,6 @@ class FormatError(ValueError):
 
 def _rational_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _rational_from_json(x) -> tuple[int, int]:
-    try:
-        return _pair(x)
-    except TypeError:
-        raise FormatError(
-            f"coordinates must be integers or 'p/q' strings, got {x!r}") from None
-    except ValueError as exc:
-        raise FormatError(f"bad rational: {exc}") from None
-    except ZeroDivisionError:
-        raise FormatError(f"bad rational {x!r}: zero denominator") from None
 
 
 def serialize_arrangement(arr: Arrangement) -> str:
@@ -71,34 +57,10 @@ def parse_arrangement(text: str) -> Arrangement:
         raise FormatError("arrangement file must be a JSON object")
     if "dimension" not in payload or "boxes" not in payload:
         raise FormatError("arrangement file needs 'dimension' and 'boxes' keys")
-    dim = payload["dimension"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise FormatError(f"'dimension' must be a positive integer, got {dim!r}")
-    boxes = payload["boxes"]
-    if not isinstance(boxes, list) or not boxes:
-        raise FormatError("'boxes' must be a non-empty list")
-    # box 1's shape bounds `dim` by the input's size before anything is
-    # set up per axis
-    if not isinstance(boxes[0], list) or len(boxes[0]) != dim:
-        raise FormatError(f"box 1 must list exactly {dim} [lo, hi] pairs")
-    # per axis, each box's low then its high, as numerators and denominators
-    nums: list[list[int]] = [[] for _ in range(dim)]
-    dens: list[list[int]] = [[] for _ in range(dim)]
-    for i, box in enumerate(boxes, start=1):
-        if not isinstance(box, list) or len(box) != dim:
-            raise FormatError(f"box {i} must list exactly {dim} [lo, hi] pairs")
-        for pair, num, den in zip(box, nums, dens):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise FormatError(f"box {i}: each side must be a [lo, hi] pair")
-            lo, hi = pair
-            lp, lq = (lo, 1) if type(lo) is int else _rational_from_json(lo)
-            hp, hq = (hi, 1) if type(hi) is int else _rational_from_json(hi)
-            if hp * lq < lp * hq:
-                raise FormatError(
-                    f"box {i}: empty side [{Fraction(lp, lq)}, {Fraction(hp, hq)}]")
-            num += (lp, hp)
-            den += (lq, hq)
-    return Arrangement._of_grid(dim, map(_grid_axis, nums, dens))
+    try:
+        return Arrangement.of(payload["dimension"], payload["boxes"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(str(exc)) from None
 
 
 def serialize_graph(g: Graph) -> str:

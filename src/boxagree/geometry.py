@@ -16,11 +16,9 @@ endpoints, and the endpoints times that scale: one integer low and one
 integer high per box.  The scale is positive, so the integers order exactly
 as the rationals do and no float is involved; it is the least one, so equal
 families have equal grids, and equality and hashing compare grids.  The
-`boxes` are a view of `Fraction` intervals, built on first read; parsing,
-the sweep, `find_exposed` and the split read the grid and build none.  On
-the `societies` benchmark (seed 1, Python 3.11.7, a shared 2-core host)
-moving from `Fraction` endpoints to the grid took the median pass from
-28.5 to 18.7 ms, and the sweep alone from 2.3 to 1.8 ms a pass.
+`boxes` are a view of `Fraction` intervals, built on first read; building,
+parsing, the sweep, `find_exposed` and the split read the grid and build
+none.
 
 `intersection_graph` sweeps each axis of the grid once.  With the boxes
 sorted by lower and by upper endpoint, the boxes that meet box i on an axis
@@ -36,10 +34,10 @@ invariants below share one build.  Concurrent first uses may each build a
 value; they build equal ones.
 
 Endpoints are read from ints, `Fraction`s and strings by `_pair` alone (the
-grammar is in its docstring), as integer pairs (p, q) with q > 0.  Interval
-emptiness and intersection compare `Fraction`s by cross-multiplying
-numerators and denominators, which is exact because denominators are
-positive.
+grammar is in its docstring), as integer pairs (p, q) with q > 0.  Every
+arrangement comes in through `_read_axes`, which checks each side non-empty
+by cross-multiplying, exact because denominators are positive, and puts
+each axis on the grid; `Arrangement.of` and the file parser both call it.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .graphs import Graph, clique_counts, clique_number
+from .graphs import Graph, _check_order, clique_counts, clique_number
 
 RationalLike = Fraction | int | str
 
@@ -67,14 +65,15 @@ def _pair(x: RationalLike) -> tuple[int, int]:
     digits, then optionally a slash and decimal digits, such as "7", "-3/4"
     or "+10/20"; the digits are ASCII.  Anything else raises ValueError,
     including forms that `Fraction` itself reads ("1.5", "1e3", " 1/2 ",
-    "1_000"), and a zero denominator raises ZeroDivisionError.  A float (it
-    is rounded already) or a bool (a flag, not a number) raises TypeError."""
+    "1_000"), and a zero denominator raises ZeroDivisionError.  Any other
+    type raises TypeError, subclasses too: a float is rounded already, and a
+    bool is a flag, not a number."""
     kind = type(x)
     if kind is int:
         return x, 1
     if kind is Fraction:
         return x.numerator, x.denominator
-    if isinstance(x, str):
+    if kind is str:
         num, slash, den = x.partition("/")
         digits = num[1:] if num[:1] in ("+", "-") else num
         if _is_digits(digits) and (not slash or _is_digits(den)):
@@ -84,28 +83,16 @@ def _pair(x: RationalLike) -> tuple[int, int]:
             return int(num), q
         raise ValueError(f"{x!r} is not a rational literal: an optional sign and"
                          " digits, then optionally '/' and digits")
-    if isinstance(x, (float, bool)):
-        raise TypeError(f"endpoint must be an int, a Fraction or a 'p/q' string, got {x!r}")
-    if isinstance(x, int):
-        return int(x), 1
-    f = x if isinstance(x, Fraction) else Fraction(x)
-    return f.numerator, f.denominator
+    raise TypeError(f"endpoint must be an int, a Fraction or a 'p/q' string, got {x!r}")
 
 
 def _frac(x: RationalLike) -> Fraction:
-    """`x` as a Fraction, read by `_pair` (its docstring has the grammar)."""
-    # Fraction is an ABC, so isinstance against it is slow for anything that
-    # is not one: the exact type goes first and the subclass check last
+    """`x` as a Fraction, read by `_pair` (its docstring has the grammar);
+    a Fraction is kept as it is."""
     if type(x) is Fraction:
         return x
     p, q = _pair(x)
     return Fraction(p, q)
-
-
-def _lt(a: Fraction, b: Fraction) -> bool:
-    """a < b, by cross-multiplying: exact, since denominators are positive,
-    and without `Fraction`'s comparison dispatch."""
-    return a.numerator * b.denominator < b.numerator * a.denominator
 
 
 @dataclass(frozen=True)
@@ -118,16 +105,8 @@ class RationalInterval:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", _frac(self.lo))
         object.__setattr__(self, "hi", _frac(self.hi))
-        if _lt(self.hi, self.lo):
+        if self.hi < self.lo:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
-
-    def intersect(self, other: RationalInterval) -> RationalInterval | None:
-        lo = other.lo if _lt(self.lo, other.lo) else self.lo
-        hi = other.hi if _lt(other.hi, self.hi) else self.hi
-        return None if _lt(hi, lo) else RationalInterval(lo, hi)
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -156,29 +135,8 @@ class Box:
     def dimension(self) -> int:
         return len(self.sides)
 
-    def contains(self, point: tuple[Fraction, ...]) -> bool:
-        if len(point) != self.dimension:
-            raise ValueError("point dimension mismatch")
-        return all(s.contains(x) for s, x in zip(self.sides, point))
-
     def __repr__(self) -> str:
         return " x ".join(repr(s) for s in self.sides)
-
-
-def intersect_boxes(a: Box, b: Box) -> Box | None:
-    """Coordinate-wise intersection; None when any side comes up empty.
-
-    Commutative and associative where defined.
-    """
-    if a.dimension != b.dimension:
-        raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    sides = []
-    for sa, sb in zip(a.sides, b.sides):
-        s = sa.intersect(sb)
-        if s is None:
-            return None
-        sides.append(s)
-    return Box(tuple(sides))
 
 
 def _grid_axis(nums: list[int], dens: list[int]) -> tuple[int, list[int], list[int]]:
@@ -187,6 +145,52 @@ def _grid_axis(nums: list[int], dens: list[int]) -> tuple[int, list[int], list[i
     scale = lcm(*set(dens))
     ints = nums if scale == 1 else [p * (scale // q) for p, q in zip(nums, dens)]
     return scale, ints[0::2], ints[1::2]
+
+
+def _coordinate(x) -> tuple[int, int]:
+    """`_pair(x)`, with its errors worded for a coordinate of a box."""
+    try:
+        return _pair(x)
+    except TypeError:
+        raise TypeError(
+            f"coordinates must be integers or 'p/q' strings, got {x!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"bad rational: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {x!r}: zero denominator") from None
+
+
+def _read_axes(dimension: int, boxes) -> list[tuple[int, list[int], list[int]]]:
+    """The grid axes (see `_grid_axis`) of `boxes`, a non-empty list of
+    boxes, each a list of `dimension` [lo, hi] pairs (tuples serve for
+    lists).  A malformed or empty side raises ValueError, and a coordinate
+    of the wrong type TypeError; the messages are the file format's."""
+    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
+        raise ValueError(f"'dimension' must be a positive integer, got {dimension!r}")
+    if not isinstance(boxes, (list, tuple)) or not boxes:
+        raise ValueError("'boxes' must be a non-empty list")
+    # box 1's shape bounds `dimension` by the input's size before anything
+    # is set up per axis
+    if not isinstance(boxes[0], (list, tuple)) or len(boxes[0]) != dimension:
+        raise ValueError(f"box 1 must list exactly {dimension} [lo, hi] pairs")
+    # per axis, each box's low then its high, as numerators and denominators
+    nums: list[list[int]] = [[] for _ in range(dimension)]
+    dens: list[list[int]] = [[] for _ in range(dimension)]
+    for i, box in enumerate(boxes, start=1):
+        if not isinstance(box, (list, tuple)) or len(box) != dimension:
+            raise ValueError(f"box {i} must list exactly {dimension} [lo, hi] pairs")
+        for pair, num, den in zip(box, nums, dens):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"box {i}: each side must be a [lo, hi] pair")
+            lo, hi = pair
+            lp, lq = (lo, 1) if type(lo) is int else _coordinate(lo)
+            hp, hq = (hi, 1) if type(hi) is int else _coordinate(hi)
+            if hp * lq < lp * hq:
+                raise ValueError(
+                    f"box {i}: empty side [{Fraction(lp, lq)}, {Fraction(hp, hq)}]")
+            num += (lp, hp)
+            den += (lq, hq)
+    return list(map(_grid_axis, nums, dens))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -203,35 +207,17 @@ class Arrangement:
     _lows: tuple[tuple[int, ...], ...]
     _highs: tuple[tuple[int, ...], ...]
 
-    def __init__(self, dimension: int, boxes) -> None:
-        boxes = tuple(boxes)
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if len(boxes) < 1:
-            raise ValueError("an arrangement needs at least one box")
-        for i, b in enumerate(boxes, start=1):
-            if b.dimension != dimension:
-                raise ValueError(
-                    f"box {i} has dimension {b.dimension}, expected {dimension}"
-                )
-        axes = []
-        for axis in range(dimension):
-            ends = [x for b in boxes for x in (b.sides[axis].lo, b.sides[axis].hi)]
-            axes.append(_grid_axis([x.numerator for x in ends],
-                                   [x.denominator for x in ends]))
-        self._set_grid(dimension, axes)
-        self.__dict__["boxes"] = boxes
+    @classmethod
+    def of(cls, dimension: int, box_specs) -> Arrangement:
+        """Build from per-box lists of (lo, hi) coordinate pairs, read and
+        checked by `_read_axes`."""
+        return cls._of_grid(dimension, _read_axes(dimension, box_specs))
 
     @classmethod
     def _of_grid(cls, dimension: int, axes) -> Arrangement:
         """Trusted constructor from per-axis (scale, lows, highs): a positive
-        scale and n >= 1 integer lows and highs with lows[k] <= highs[k]."""
-        arr = object.__new__(cls)
-        arr._set_grid(dimension, axes)
-        return arr
-
-    def _set_grid(self, dimension: int, axes) -> None:
-        """Store the grid, each axis brought to its least scale."""
+        scale and n >= 1 integer lows and highs with lows[k] <= highs[k].
+        Each axis is stored at its least scale."""
         scales, lows, highs = [], [], []
         for scale, lo, hi in axes:
             if scale != 1:
@@ -243,15 +229,10 @@ class Arrangement:
             scales.append(scale)
             lows.append(tuple(lo))
             highs.append(tuple(hi))
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "_scales", tuple(scales))
-        object.__setattr__(self, "_lows", tuple(lows))
-        object.__setattr__(self, "_highs", tuple(highs))
-
-    @classmethod
-    def of(cls, dimension: int, box_specs) -> Arrangement:
-        """Build from per-box lists of (lo, hi) coordinate pairs."""
-        return cls(dimension, tuple(Box.of(spec) for spec in box_specs))
+        arr = object.__new__(cls)
+        vars(arr).update(dimension=dimension, _scales=tuple(scales),
+                         _lows=tuple(lows), _highs=tuple(highs))
+        return arr
 
     @property
     def n(self) -> int:
@@ -312,6 +293,7 @@ class FVector:
 
 def _sweep(arr: Arrangement) -> Graph:
     n = arr.n
+    _check_order(n)  # before n rows of n bits are set up
     rows = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
     for lo, hi in zip(arr._lows, arr._highs):
         by_lo = sorted(range(n), key=lo.__getitem__)

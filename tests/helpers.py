@@ -13,11 +13,11 @@ from random import Random
 
 from boxagree import (
     Arrangement,
+    Box,
     Graph,
     RationalInterval,
     clique_number,
     decide_boxicity_leq,
-    intersect_boxes,
     is_interval_graph,
     roberts_upper_bound,
 )
@@ -87,6 +87,34 @@ def rational_literal(rng: Random, x: Fraction):
     return f"{sign}{x.numerator * k}/{x.denominator * k}"
 
 
+def box_specs(boxes) -> list:
+    """Per-box lists of (lo, hi) `Fraction` pairs, as `Arrangement.of`
+    takes them."""
+    return [[(s.lo, s.hi) for s in b.sides] for b in boxes]
+
+
+def interval_meet_oracle(a: RationalInterval,
+                         b: RationalInterval) -> RationalInterval | None:
+    """The meet of two closed intervals by `Fraction`'s own max, min and
+    <=, with no integer shortcut."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    return RationalInterval(lo, hi) if lo <= hi else None
+
+
+def intersect_boxes(a: Box, b: Box) -> Box | None:
+    """Side-by-side meet of two boxes on their `Fraction` sides; None when
+    any side comes up empty.  Commutative and associative where defined."""
+    if a.dimension != b.dimension:
+        raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
+    sides = [interval_meet_oracle(sa, sb) for sa, sb in zip(a.sides, b.sides)]
+    return None if None in sides else Box(tuple(sides))
+
+
+def box_contains(box: Box, point: tuple[Fraction, ...]) -> bool:
+    """Whether the closed box holds the point, side by side."""
+    return all(s.lo <= x <= s.hi for s, x in zip(box.sides, point))
+
+
 def split_oracle(arr: Arrangement, i: int) -> dict:
     """B'' for box i by `intersect_boxes` on the Fraction boxes."""
     bi = arr.box(i)
@@ -132,14 +160,6 @@ def brute_force_f_vector(arr: Arrangement) -> list[int]:
     return counts
 
 
-def interval_meet_oracle(a: RationalInterval,
-                         b: RationalInterval) -> RationalInterval | None:
-    """The meet of two closed intervals by `Fraction`'s own max, min and
-    <=, with no integer shortcut."""
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    return RationalInterval(lo, hi) if lo <= hi else None
-
-
 def lower_endpoint_depth(arr: Arrangement) -> int:
     """Max overlap count over the grid of lower endpoints (at most n^d
     points): any deepest cell is itself a box whose lower corner lies on
@@ -147,7 +167,7 @@ def lower_endpoint_depth(arr: Arrangement) -> int:
     axes = [sorted({b.sides[a].lo for b in arr.boxes}) for a in range(arr.dimension)]
     best = 0
     for point in product(*axes):
-        best = max(best, sum(1 for b in arr.boxes if b.contains(point)))
+        best = max(best, sum(1 for b in arr.boxes if box_contains(b, point)))
     return best
 
 
@@ -160,7 +180,7 @@ def brute_force_depth(arr: Arrangement) -> int:
         axes.append(sorted(coords))
     best = 0
     for point in product(*axes):
-        best = max(best, sum(1 for b in arr.boxes if b.contains(point)))
+        best = max(best, sum(1 for b in arr.boxes if box_contains(b, point)))
     return best
 
 

@@ -17,6 +17,7 @@ from boxagree import (
     quadratic_min_root,
     root_map,
 )
+from boxagree import bounds
 from boxagree.bounds import quadratic_coefficients
 from boxagree.verify import PRINTED_TABLE, printed_value_matches
 
@@ -152,6 +153,23 @@ def test_comparison_table_shape():
     rows = comparison_table(5)
     assert [d for d, _, _ in rows] == [1, 2, 3, 4, 5]
     assert rows[0][1] == Fraction(1, 2) and rows[0][2] == 0.5
+
+
+def test_comparison_table_maps_once_per_row(monkeypatch):
+    # each row carries the last one's bound on by one root_map, so the cost
+    # is linear in d_max; the values are gamma_lower's to the bit
+    calls = []
+    real_root_map = bounds.root_map
+
+    def counted(x):
+        calls.append(x)
+        return real_root_map(x)
+
+    monkeypatch.setattr(bounds, "root_map", counted)
+    rows = comparison_table(200)
+    assert len(calls) == 199
+    monkeypatch.undo()
+    assert rows == [(d, main_lower_bound(d), gamma_lower(d)) for d in range(1, 201)]
 
 
 def test_edge_lower_bound_values():

@@ -1,3 +1,4 @@
+import importlib.util
 from fractions import Fraction
 from random import Random
 
@@ -18,7 +19,7 @@ from boxagree import (
 from boxagree import MissingEtaError, fixtures, geometry
 from boxagree.formats import parse_arrangement, serialize_arrangement
 
-from helpers import random_arrangement, random_rational_specs, split_oracle
+from helpers import box_specs, random_arrangement, random_rational_specs, split_oracle
 
 
 def test_exposure_figure_claim_validates():
@@ -180,7 +181,7 @@ def test_find_exposed_is_the_lemma_candidate():
         boxes = list(arr.boxes)
         for _ in range(rng.randint(0, 3)):
             boxes.insert(rng.randint(0, len(boxes)), rng.choice(boxes))
-        arr = Arrangement(arr.dimension, tuple(boxes))
+        arr = Arrangement.of(arr.dimension, box_specs(boxes))
         zero_width += any(s.lo == s.hi for b in boxes for s in b.sides)
         repeated += len(set(boxes)) < len(boxes)
         lows = [b.sides[0].lo for b in boxes]
@@ -208,7 +209,8 @@ def test_find_exposed_matches_a_fraction_oracle_on_rational_coordinates():
 
 
 def test_exposure_and_split_identity_build_no_fraction_intervals(monkeypatch):
-    # parse, graph, f-vector, exposure and the split identity read the grid
+    # building, parsing, graph, f-vector, exposure and the split identity
+    # read the grid
     built = []
     real_post_init = geometry.RationalInterval.__post_init__
 
@@ -216,9 +218,16 @@ def test_exposure_and_split_identity_build_no_fraction_intervals(monkeypatch):
         built.append(self)
         real_post_init(self)
 
-    texts = [serialize_arrangement(fixtures.load(name))
-             for name in ("z5", "fig38a", "fig38b", "exposure")]
+    names = ("z5", "fig38a", "fig38b", "exposure")
+    texts = [serialize_arrangement(fixtures.load(name)) for name in names]
+    specs = box_specs(fixtures.load("fig38b").boxes)
     monkeypatch.setattr(geometry.RationalInterval, "__post_init__", counted)
+    # a fresh copy of the fixtures module builds each fixture with `Arrangement.of`
+    spec = importlib.util.spec_from_file_location("boxagree._fixtures_copy", fixtures.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert [fresh.load(name) for name in names] == [fixtures.load(name) for name in names]
+    assert Arrangement.of(2, specs) == fixtures.load("fig38b")
     for text in texts:
         arr = parse_arrangement(text)
         intersection_graph(arr)

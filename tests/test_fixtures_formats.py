@@ -48,6 +48,21 @@ def test_k_partite_generator():
     assert is_agreeable(oct_graph, 2, 3)
 
 
+def test_k_partite_checks_the_vertex_cap_before_listing_edges():
+    assert fixtures.k_partite(32).n == 64
+    tracemalloc.start()
+    try:
+        for d in (33, 300, 10 ** 9):
+            with pytest.raises(ValueError, match=f"need 1 <= d <= 32, got {d}"):
+                fixtures.load(f"k_partite {d}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(ValueError, match="need 1 <= d <= 32, got 0"):
+        fixtures.k_partite(0)
+
+
 def test_two_camps_generator():
     camp = fixtures.load("two_camps 3")
     assert camp.n == 6 and camp.dimension == 1
@@ -125,6 +140,59 @@ def test_arrangement_parse_errors():
     for flag in ("true", "false"):  # an int to isinstance, written back as a bool
         with pytest.raises(FormatError, match="dimension"):
             parse_arrangement(f'{{"dimension": {flag}, "boxes": [[[0, 1]], [[1, 2]]]}}')
+
+
+LITERAL = "is not a rational literal: an optional sign and digits, then optionally '/' and digits"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "line 1: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{\n"dimension": 1,\n', "line 3: invalid JSON: Expecting property name enclosed"
+                             " in double quotes: line 3 column 1 (char 18)"),
+    ("[]", "arrangement file must be a JSON object"),
+    ('"x"', "arrangement file must be a JSON object"),
+    ('{"dimension": 2}', "arrangement file needs 'dimension' and 'boxes' keys"),
+    ('{"boxes": []}', "arrangement file needs 'dimension' and 'boxes' keys"),
+    ('{"dimension": true, "boxes": [[[0, 1]]]}', "'dimension' must be a positive integer, got True"),
+    ('{"dimension": 0, "boxes": [[[0, 1]]]}', "'dimension' must be a positive integer, got 0"),
+    ('{"dimension": "2", "boxes": [[[0, 1]]]}', "'dimension' must be a positive integer, got '2'"),
+    ('{"dimension": 1.0, "boxes": [[[0, 1]]]}', "'dimension' must be a positive integer, got 1.0"),
+    ('{"dimension": 1, "boxes": {}}', "'boxes' must be a non-empty list"),
+    ('{"dimension": 1, "boxes": "ab"}', "'boxes' must be a non-empty list"),
+    ('{"dimension": 1, "boxes": []}', "'boxes' must be a non-empty list"),
+    ('{"dimension": 2, "boxes": [[[0, 1]]]}', "box 1 must list exactly 2 [lo, hi] pairs"),
+    ('{"dimension": 1, "boxes": [{"a": 1}]}', "box 1 must list exactly 1 [lo, hi] pairs"),
+    ('{"dimension": 1, "boxes": [[[0, 1]], [[0, 1], [0, 1]]]}',
+     "box 2 must list exactly 1 [lo, hi] pairs"),
+    ('{"dimension": 1, "boxes": [[[0, 1]], "x"]}', "box 2 must list exactly 1 [lo, hi] pairs"),
+    ('{"dimension": 1, "boxes": [[{"a": 0, "b": 1}]]}', "box 1: each side must be a [lo, hi] pair"),
+    ('{"dimension": 1, "boxes": [[[0, 1, 2]]]}', "box 1: each side must be a [lo, hi] pair"),
+    ('{"dimension": 1, "boxes": [["ab"]]}', "box 1: each side must be a [lo, hi] pair"),
+    ('{"dimension": 1, "boxes": [[[0, 1]], [[[0, 1]]]]}', "box 2: each side must be a [lo, hi] pair"),
+    ('{"dimension": 2, "boxes": [[[2, 1], [0]]]}', "box 1: empty side [2, 1]"),
+    ('{"dimension": 2, "boxes": [[[0, 1], [0]]]}', "box 1: each side must be a [lo, hi] pair"),
+    ('{"dimension": 1, "boxes": [[[0.5, 1]]]}', "coordinates must be integers or 'p/q' strings, got 0.5"),
+    ('{"dimension": 1, "boxes": [[[0, 1.0]]]}', "coordinates must be integers or 'p/q' strings, got 1.0"),
+    ('{"dimension": 1, "boxes": [[[true, 1]]]}', "coordinates must be integers or 'p/q' strings, got True"),
+    ('{"dimension": 1, "boxes": [[[null, 1]]]}', "coordinates must be integers or 'p/q' strings, got None"),
+    ('{"dimension": 1, "boxes": [[[[0], 1]]]}', "coordinates must be integers or 'p/q' strings, got [0]"),
+    ('{"dimension": 1, "boxes": [[["1.5", 2]]]}', f"bad rational: '1.5' {LITERAL}"),
+    ('{"dimension": 1, "boxes": [[[5, "x"]]]}', f"bad rational: 'x' {LITERAL}"),
+    ('{"dimension": 1, "boxes": [[["", 2]]]}', f"bad rational: '' {LITERAL}"),
+    ('{"dimension": 1, "boxes": [[[0, "1/0"]]]}', "bad rational '1/0': zero denominator"),
+    ('{"dimension": 1, "boxes": [[["1/0", "x"]]]}', "bad rational '1/0': zero denominator"),
+    ('{"dimension": 1, "boxes": [[[2, 1]]]}', "box 1: empty side [2, 1]"),
+    ('{"dimension": 2, "boxes": [[[0, 1], [0, 1]], [[0, 1], ["1/2", "1/3"]]]}',
+     "box 2: empty side [1/2, 1/3]"),
+    ('{"dimension": 1, "boxes": [[["4/6", "-2/3"]]]}', "box 1: empty side [2/3, -2/3]"),
+])
+def test_arrangement_format_error_messages(text, message):
+    # each check, in the order it runs; only a JSON error carries a line
+    with pytest.raises(FormatError) as err:
+        parse_arrangement(text)
+    assert str(err.value) == message
+    assert err.value.line == (int(message.split(":")[0][5:]) if message.startswith("line ")
+                              else None)
 
 
 def test_arrangement_dimension_is_checked_against_box_1_before_any_setup():

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
@@ -15,17 +17,19 @@ from boxagree import (
     agreement_proportion,
     clique_number,
     f_vector,
-    intersect_boxes,
     intersection_graph,
     is_agreeable,
+    split,
 )
 from boxagree import fixtures
 from boxagree.formats import FormatError, parse_arrangement
-from boxagree.geometry import _frac, _lt
+from boxagree.geometry import _frac, _pair
 
 from helpers import (
+    box_specs,
     brute_force_depth,
     brute_force_f_vector,
+    intersect_boxes,
     interval_meet_oracle,
     lower_endpoint_depth,
     pairwise_intersection_graph,
@@ -45,8 +49,9 @@ def test_interval_rejects_reversed_endpoints():
 
 def test_degenerate_interval_is_legal():
     point = RationalInterval(Fraction(3), Fraction(3))
-    assert point.contains(Fraction(3))
-    assert point.intersect(RationalInterval(Fraction(3), Fraction(5))) == point
+    assert point.lo == point.hi == 3
+    arr = Arrangement.of(1, [[(3, 3)], [(3, 5)]])
+    assert arr.box(1) == Box((point,)) and split(arr, 2) == {1: Box((point,))}
 
 
 def test_box_coerces_mixed_rational_inputs():
@@ -100,18 +105,29 @@ def test_rational_literal_with_zero_denominator_is_refused():
         parse_arrangement('{"dimension": 1, "boxes": [[["1/0", 9]]]}')
 
 
-def test_cross_multiplied_less_than_agrees_with_fraction():
-    rng = Random(2203)
-    small = [Fraction(p, q) for p in range(-6, 7) for q in range(1, 7)]  # many ties
-    for _ in range(3000):
-        if rng.random() < 0.5:
-            a, b = rng.choice(small), rng.choice(small)
-        else:
-            big = 10 ** rng.randint(1, 60)
-            a = Fraction(rng.randint(-big, big), rng.randint(1, big))
-            b = rng.choice((a, Fraction(rng.randint(-big, big), rng.randint(1, big))))
-        assert _lt(a, b) == (a < b), (a, b)
-        assert _lt(b, a) == (b < a), (a, b)
+@pytest.mark.parametrize("endpoint", [Decimal("1.5"), Decimal(2), None, 2.0, True, [1]])
+def test_endpoint_of_another_type_is_refused(endpoint):
+    # only int, Fraction and str are read (a file's null is pinned with the
+    # other parse errors in test_fixtures_formats.py)
+    with pytest.raises(TypeError, match="endpoint must be an int, a Fraction or a 'p/q' string"):
+        _pair(endpoint)
+    with pytest.raises(TypeError, match="coordinates must be integers or 'p/q' strings"):
+        Arrangement.of(1, [[(0, endpoint)]])
+
+
+def test_arrangement_of_and_the_parser_share_one_reader():
+    # the same checks and messages, lists or tuples alike
+    cases = [(0, [[(0, 1)]]), (1, []), (2, [[(0, 1)]]), (1, [[(0, 1)], [(0, 1, 2)]]),
+             (1, [[("1/2", "1/3")]]), (1, [[(0, "1.5")]]), (1, [[("1/0", 1)]])]
+    for dimension, specs in cases:
+        with pytest.raises(ValueError) as built:
+            Arrangement.of(dimension, specs)
+        text = json.dumps({"dimension": dimension, "boxes": specs})
+        with pytest.raises(FormatError) as parsed:
+            parse_arrangement(text)
+        assert str(built.value) == str(parsed.value)
+    with pytest.raises(TypeError):
+        Arrangement(1, Arrangement.of(1, [[(0, 1)]]).boxes)  # no second way in
 
 
 def test_interval_emptiness_and_intersect_match_fraction_order():
@@ -128,7 +144,13 @@ def test_interval_emptiness_and_intersect_match_fraction_order():
             continue
         a = RationalInterval(lo, hi)
         b = RationalInterval(*sorted((endpoint(), endpoint())))
-        assert a.intersect(b) == interval_meet_oracle(a, b), (a, b)
+        meet = interval_meet_oracle(a, b)
+        # the grid's meet, through the split of a two-box arrangement
+        got = split(Arrangement.of(1, [[(a.lo, a.hi)], [(b.lo, b.hi)]]), 1)[2]
+        assert got == (None if meet is None else Box((meet,))), (a, b)
+
+
+# -- the intersect_boxes oracle ------------------------------------------------
 
 
 def test_intersect_idempotent():
@@ -225,7 +247,8 @@ def test_grid_equality_tells_arrangements_apart():
     assert base != Arrangement.of(1, [[(0, "1/3")], [(1, 2)]])
     assert base != Arrangement.of(1, [[(1, 2)], [(0, "1/2")]])
     assert base != Arrangement.of(2, [[(0, "1/2"), (0, 1)], [(1, 2), (0, 1)]])
-    assert base == Arrangement(1, base.boxes) == Arrangement.of(1, [[(0, "2/4")], [(1, 2)]])
+    assert base == Arrangement.of(1, box_specs(base.boxes))
+    assert base == Arrangement.of(1, [[(0, "2/4")], [(1, 2)]])
 
 
 # -- intersection graphs ----------------------------------------------------
@@ -335,7 +358,7 @@ def test_dropped_box_graph_is_induced_subgraph():
             continue
         i = rng.randint(1, arr.n)
         rest = [v for v in range(1, arr.n + 1) if v != i]
-        dropped = Arrangement(arr.dimension, arr.boxes[:i - 1] + arr.boxes[i:])
+        dropped = Arrangement.of(arr.dimension, box_specs(arr.boxes[:i - 1] + arr.boxes[i:]))
         assert intersection_graph(dropped) == intersection_graph(arr).induced(rest)
 
 
@@ -362,6 +385,20 @@ def test_arrangement_invariants_cap_at_64_boxes():
     for invariant in (agreement_number, f_vector, intersection_graph):
         with pytest.raises(ValueError, match="vertex count"):
             invariant(arr)
+
+
+def test_box_cap_is_checked_before_the_sweep_sets_up_rows():
+    # n rows of n bits, and their prefix and suffix masks, would take over
+    # 100 MB here; the cap is checked first
+    arr = Arrangement.of(1, [[(k, k + 1)] for k in range(20_000)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex count must be in 1..64, got 20000"):
+            intersection_graph(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_fig38b_agreement_number():

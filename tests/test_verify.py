@@ -3,6 +3,8 @@ from fractions import Fraction
 from boxagree import Arrangement, exposure, fixtures, search, verify
 from boxagree.exposure import ExposureCertificate, split_identity_failures
 
+from helpers import box_specs
+
 CHECK_NAMES = [
     "z5 graph", "z5 agreement", "z5 f-vector",
     "fig38a graph", "fig38a regular", "fig38a omega/triangles", "fig38a f-vector",
@@ -59,7 +61,7 @@ def test_split_identity_check_fails_when_a_piece_is_dropped(monkeypatch):
     def lossy_split(arr, i):
         met, pieces = real_split(arr, i)
         rest = pieces.boxes[1:]
-        return met[1:], Arrangement(pieces.dimension, rest) if rest else None
+        return met[1:], Arrangement.of(pieces.dimension, box_specs(rest)) if rest else None
 
     monkeypatch.setattr(exposure, "_split", lossy_split)
     # a lost present piece undercounts f_0(B''), so k = 1 fails
