@@ -15,17 +15,18 @@ set, so a placed set that no larger one asks for is never built; the
 budget is still charged the worst case, paid before the DP starts, so
 `nodes` does not depend on how many sets it builds (`dp_sets` counts
 those).  A cover then picks at most d of the maximal masks that together
-separate every non-edge.  At d = 1 the one axis separates every non-edge,
-so g itself is tested for being interval.
+separate every non-edge.
 
-The cover only decides: it returns the masks it chose.  The public
-decision and report turn them into axis graphs, whose maximal cliques come
-from the maximum cardinality search of interval recognition and whose
-consecutive clique orders place the witness boxes; the orderly walk's
-filter (`_at_most`) reads only the yes or no.  "No" comes only from a
-finished DP and cover; a budget too small for them yields "inconclusive".
-Every "yes" carries a realizing arrangement whose intersection graph is
-re-derived and compared bit-exactly.
+One chain, `_decide`, answers for the public decision, the report's d = 1
+stage and the orderly walk's filter (`_at_most`): one node tests g for
+being interval, since an interval graph is its own single axis graph and
+at d = 1 the one axis must separate every non-edge; above d = 1 one DP and
+one cover follow.  It returns the chosen axis graphs, and a witness gets
+one axis per axis graph, so at most d dimensions, placed by a consecutive
+order of that graph's maximal cliques.  "No" comes only from the interval
+test at d = 1 or a finished DP and cover; a budget too small for them
+yields "inconclusive".  Every "yes" carries a realizing arrangement whose
+intersection graph is re-derived and compared bit-exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .graphs import (
     _bits,
     _chordal_cliques,
     _clique_order,
-    interval_clique_order,
     is_interval_graph,
     strip_universal,
 )
@@ -105,37 +105,43 @@ def roberts_upper_bound(g: Graph) -> int:
     return 0 if g.is_complete() else g.n // 2
 
 
-def _interval_witness_axis(n: int, order: list[int]) -> tuple[int, list[int], list[int]]:
-    """One scale-1 grid axis from a consecutive clique order: each vertex
-    spans its first to its last position."""
-    lows, highs = [0] * n, [0] * n
-    for pos, clique in enumerate(order, start=1):
-        for v in _bits(clique):
-            if not lows[v]:
-                lows[v] = pos
-            highs[v] = pos
-    return 1, lows, highs
+def _axis_graphs(g: Graph, non_edges: list[tuple[int, int]],
+                 chosen: list[int]) -> list[tuple[int, ...]]:
+    """The adjacency rows of each chosen mask's axis graph: g plus the
+    non-edges the mask does not separate."""
+    graphs = []
+    for m in chosen:
+        adj = list(g._adj)
+        for i, (u, v) in enumerate(non_edges):
+            if not m >> i & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        graphs.append(tuple(adj))
+    return graphs
 
 
-def _build_witness(g: Graph, d: int, orders: list[list[int] | None]) -> Arrangement:
-    """The d-box arrangement with one axis per consecutive clique order;
-    unused axes span [0, 1]."""
-    if None in orders:  # pragma: no cover - construction invariant
-        raise RuntimeError("a chosen axis graph is not an interval graph")
-    axes = [_interval_witness_axis(g.n, order) for order in orders]
-    axes += [(1, [0] * g.n, [1] * g.n)] * (d - len(axes))
-    witness = Arrangement._of_grid(d, axes)
+def _build_witness(g: Graph, axis_graphs: list[tuple[int, ...]]) -> Arrangement:
+    """The arrangement with one scale-1 grid axis per axis graph: each
+    vertex spans its first to its last position in a consecutive order of
+    that graph's maximal cliques.  Every axis graph is interval, so each
+    goes straight from its cliques to the order search."""
+    axes = []
+    for adj in axis_graphs:
+        cliques = _chordal_cliques(g.n, adj)
+        order = None if cliques is None else _clique_order(g.n, cliques)
+        if order is None:  # pragma: no cover - construction invariant
+            raise RuntimeError("a chosen axis graph is not an interval graph")
+        lows, highs = [0] * g.n, [0] * g.n
+        for pos, clique in enumerate(order, start=1):
+            for v in _bits(clique):
+                if not lows[v]:
+                    lows[v] = pos
+                highs[v] = pos
+        axes.append((1, lows, highs))
+    witness = Arrangement._of_grid(len(axes), axes)
     if intersection_graph(witness) != g:  # pragma: no cover - construction invariant
         raise RuntimeError("witness arrangement does not realize the graph")
     return witness
-
-
-def _interval_witness(g: Graph, tracker: _Budget) -> Arrangement | None:
-    """A 1-box realization, or None: one axis must separate every non-edge,
-    so its axis graph is g itself."""
-    tracker.spend()
-    order = interval_clique_order(g)
-    return None if order is None else _build_witness(g, 1, [order])
 
 
 def _minimal(sets) -> list[int]:
@@ -251,36 +257,28 @@ def _cover(d: int, non_edges: list[tuple[int, int]], masks: list[int],
     return chosen if cover((1 << len(non_edges)) - 1, d) else None
 
 
-def _axis_orders(g: Graph, non_edges: list[tuple[int, int]],
-                 chosen: list[int]) -> list[list[int] | None]:
-    """A consecutive clique order of each chosen mask's axis graph, g plus
-    the non-edges the mask does not separate.  The DP made every axis graph
-    interval, so each goes straight from its cliques to the order search;
-    one that is not even chordal gets None."""
-    orders = []
-    for m in chosen:
-        adj = list(g._adj)
-        for i, (u, v) in enumerate(non_edges):
-            if not m >> i & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        cliques = _chordal_cliques(g.n, tuple(adj))
-        orders.append(None if cliques is None else _clique_order(g.n, cliques))
-    return orders
+def _decide(g: Graph, d: int, tracker: _Budget) -> list[tuple[int, ...]] | None:
+    """At most d axis graphs whose intersection is g, or None when there
+    are none.  One node pays for the interval test; above d = 1 one DP and
+    one cover follow.  Raises `BudgetExhausted` when the budget cannot pay."""
+    tracker.spend()
+    if is_interval_graph(g):
+        return [g._adj]
+    if d == 1:
+        return None
+    non_edges, masks = _masks(g, tracker)
+    chosen = _cover(d, non_edges, masks, tracker)
+    return None if chosen is None else _axis_graphs(g, non_edges, chosen)
 
 
 def _at_most(g: Graph, d: int) -> bool:
-    """box(g) <= d, decided without a witness: true within Roberts' bound
-    or for an interval graph; otherwise false at d = 1, and above it one DP
-    and one cover at the default budget decide.  A budget that cannot pay
-    for them raises `RuntimeError` naming the graph."""
-    if roberts_upper_bound(g) <= d or is_interval_graph(g):
+    """box(g) <= d, decided without a witness: true within Roberts' bound,
+    else `_decide` at the default budget.  A budget that cannot pay for it
+    raises `RuntimeError` naming the graph."""
+    if roberts_upper_bound(g) <= d:
         return True
-    if d == 1:
-        return False
-    tracker = _Budget(DEFAULT_BUDGET)
     try:
-        return _cover(d, *_masks(g, tracker), tracker) is not None
+        return _decide(g, d, _Budget(DEFAULT_BUDGET)) is not None
     except BudgetExhausted:
         raise RuntimeError(f"boxicity of {g!r} undecided within the default budget") from None
 
@@ -288,7 +286,8 @@ def _at_most(g: Graph, d: int) -> bool:
 def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> BoxicityDecision:
     """Decide box(g) <= d exactly, within a node budget.
 
-    Returns "yes" with a realizing d-box arrangement, "no" once no d of
+    Returns "yes" with a realizing arrangement of at most d dimensions,
+    one per axis graph the cover used, "no" once no d of
     the maximal realizable masks separate every non-edge, or "inconclusive"
     when the budget cannot pay for the search.  Complete graphs are rejected
     (their boxicity is 0 by convention, so there is nothing to search), and
@@ -302,15 +301,10 @@ def decide_boxicity_leq(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> Boxic
         raise ValueError("complete graph: boxicity is 0 by convention")
     tracker = _Budget(budget)
     try:
-        if d == 1:
-            witness = _interval_witness(g, tracker)
-        else:
-            non_edges, masks = _masks(g, tracker)
-            chosen = _cover(d, non_edges, masks, tracker)
-            witness = (None if chosen is None
-                       else _build_witness(g, d, _axis_orders(g, non_edges, chosen)))
+        axis_graphs = _decide(g, d, tracker)
     except BudgetExhausted:
         return BoxicityDecision("inconclusive", None, tracker.spent, tracker.dp_sets)
+    witness = None if axis_graphs is None else _build_witness(g, axis_graphs)
     return BoxicityDecision("no" if witness is None else "yes", witness, tracker.spent,
                             tracker.dp_sets)
 
@@ -334,9 +328,10 @@ def _report(g: Graph, tracker: _Budget) -> BoxicityReport:
     lower = 1
     phase = "the d = 1 interval test"
     try:
-        witness = _interval_witness(g, tracker)
-        if witness is not None:
-            return BoxicityReport(1, upper, 1, witness, ("interval graph: boxicity 1",))
+        axis_graphs = _decide(g, 1, tracker)
+        if axis_graphs is not None:
+            return BoxicityReport(1, upper, 1, _build_witness(g, axis_graphs),
+                                  ("interval graph: boxicity 1",))
         lower = 2
         stripped, k = strip_universal(g)
         if k:
@@ -356,7 +351,7 @@ def _report(g: Graph, tracker: _Budget) -> BoxicityReport:
             chosen = _cover(d, non_edges, masks, tracker)
             if chosen is not None:
                 notes.append(f"search realized the graph with {d}-boxes")
-                witness = _build_witness(g, d, _axis_orders(g, non_edges, chosen))
+                witness = _build_witness(g, _axis_graphs(g, non_edges, chosen))
                 return BoxicityReport(lower, upper, d, witness, tuple(notes))
             lower = d + 1
             notes.append(f"search exhausted: no {d}-box realization")

@@ -7,7 +7,7 @@ Names with a parameter are written as e.g. ``"k_partite 3"`` or
 
 from __future__ import annotations
 
-from .geometry import Arrangement
+from .geometry import Arrangement, _is_digits
 from .graphs import MAX_VERTICES, Graph
 
 
@@ -117,9 +117,10 @@ def k_partite(d: int) -> Graph:
 
 def two_camps(r: int) -> Arrangement:
     """Linear society of r copies of [0,1] and r copies of [2,3]; its graph
-    is two disjoint r-cliques, agreement proportion 1/2."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    is two disjoint r-cliques, agreement proportion 1/2.  r is checked
+    against the graph's vertex cap before any box is built."""
+    if not 1 <= r <= MAX_VERTICES // 2:
+        raise ValueError(f"need 1 <= r <= {MAX_VERTICES // 2}, got {r}")
     boxes = [[(0, 1)]] * r + [[(2, 3)]] * r
     return Arrangement.of(1, boxes)
 
@@ -176,13 +177,11 @@ def load(name: str) -> Arrangement | Graph:
             )
         raise _unknown(name)
     if len(parts) == 2 and parts[0] in _PARAMETRIC:
-        try:
-            arg = int(parts[1])
-        except ValueError:
+        if not _is_digits(parts[1]):  # read as graph files are: ASCII digits alone
             raise UnknownFixtureError(
                 f"fixture {parts[0]!r} takes an integer argument, got {parts[1]!r}"
-            ) from None
-        return _PARAMETRIC[parts[0]][0](arg)
+            )
+        return _PARAMETRIC[parts[0]][0](int(parts[1]))
     raise _unknown(name)
 
 

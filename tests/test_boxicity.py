@@ -1,6 +1,7 @@
 import math
 from itertools import combinations, permutations
 from random import Random
+from time import perf_counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from boxagree import (
     roberts_upper_bound,
 )
 from boxagree import fixtures
-from boxagree.boxicity import DEFAULT_BUDGET, _Budget, _masks
+from boxagree.boxicity import DEFAULT_BUDGET, _at_most, _Budget, _masks
 
 from helpers import (
     complete,
@@ -110,6 +111,50 @@ def test_decide_interval_at_one_is_outside_the_exhaustive_budget():
     assert intersection_graph(decision.witness) == g
 
 
+def test_witness_has_one_axis_per_axis_graph_the_cover_used():
+    # no [0, 1] axes pad the witness up to d, so a huge d costs no more
+    # than the cover: at most one axis per non-edge of fig38a
+    g = fixtures.expected_graph("fig38a")
+    start = perf_counter()
+    decision = decide_boxicity_leq(g, 10 ** 9)
+    assert perf_counter() - start < 1.0
+    assert decision.status == "yes"
+    assert decision.witness.dimension == 5
+    assert intersection_graph(decision.witness) == g
+
+
+def test_the_filter_the_decision_and_the_report_agree():
+    graphs = []
+    for n in range(2, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        graphs += [Graph(n, [p for i, p in enumerate(pairs) if e >> i & 1])
+                   for e in range((1 << len(pairs)) - 1)]  # all but the complete graph
+    rng = Random(2012)
+    for n in range(6, 10):
+        for _ in range(4):
+            g = Graph(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < 0.6])
+            if not g.is_complete():
+                graphs.append(g)
+    for g in graphs:
+        exact = boxicity_report(g).exact
+        for d in range(1, 5):
+            yes = decide_boxicity_leq(g, d).status == "yes"
+            assert _at_most(g, d) == yes, (g, d)
+            if exact is not None:
+                assert (exact <= d) == yes, (g, d)
+    # a long path is interval: the decision needs no DP at any d, only the
+    # one node of the interval test, and its witness has one axis
+    for n in (30, 64):
+        g = path(n)
+        assert boxicity_report(g).exact == 1
+        for d in (2, 3):
+            decision = decide_boxicity_leq(g, d)
+            assert (decision.status, decision.nodes) == ("yes", 1), (n, d)
+            assert decision.witness.dimension == 1
+            assert intersection_graph(decision.witness) == g
+            assert _at_most(g, d)
+
+
 def test_budget_exhaustion_is_inconclusive():
     g = fixtures.expected_graph("fig38a")
     decision = decide_boxicity_leq(g, 2, budget=10)
@@ -186,8 +231,9 @@ def test_report_exact_is_least_yes_decision_random():
 
 
 def test_report_scans_once_for_every_d():
-    # decide(fig38c, 2) spends 1,040 nodes and decide(fig38c, 3) 1,029, of
-    # which 1,024 are the DP's transitions (8 vertices: 8 * 2^7); one DP
+    # decide(fig38c, 2) spends 1,041 nodes and decide(fig38c, 3) 1,030: 1
+    # for the interval test every decision starts with, 1,024 for the DP's
+    # transitions (8 vertices: 8 * 2^7) and the rest in the cover; one DP
     # leaves budget for the d = 1 test and both covers, two DPs would not fit
     rep = boxicity_report(fixtures.load("fig38c"), budget=1500)
     assert rep.exact == 3
@@ -272,9 +318,10 @@ def test_dp_evaluates_only_the_placed_sets_the_full_set_asks_for():
     decision = decide_boxicity_leq(fixtures.k_partite(10), 9)
     assert decision.status == "no"
     assert decision.dp_sets < 1000
-    # past 23 non-universal vertices the charge alone exceeds the default budget
+    # past 23 non-universal vertices the charge alone exceeds the default
+    # budget; only the interval test's 1 node is spent
     decision = decide_boxicity_leq(fixtures.k_partite(12), 11)
-    assert (decision.status, decision.nodes, decision.dp_sets) == ("inconclusive", 0, 0)
+    assert (decision.status, decision.nodes, decision.dp_sets) == ("inconclusive", 1, 0)
 
 
 def _olariu_added(nbrs, order):
@@ -327,9 +374,10 @@ def test_every_order_of_a_placed_set_adds_its_forced_set():
 
 def test_fig134_has_boxicity_four():
     g = fixtures.load("fig134")
+    # each decision counts the interval test's 1 node before the DP
     no3 = decide_boxicity_leq(g, 3)
-    assert (no3.status, no3.nodes) == ("no", 57617)
-    assert decide_boxicity_leq(g, 4).nodes == 53255
+    assert (no3.status, no3.nodes) == ("no", 57618)
+    assert decide_boxicity_leq(g, 4).nodes == 53256
     rep = boxicity_report(g)
     assert rep.exact == 4
     assert rep.nodes == 57898

@@ -71,6 +71,21 @@ def test_two_camps_generator():
     assert is_agreeable(g, 2, 3)
 
 
+def test_two_camps_checks_the_vertex_cap_before_building_boxes():
+    assert fixtures.two_camps(32).n == 64
+    tracemalloc.start()
+    try:
+        for r in (33, 300, 10 ** 9):
+            with pytest.raises(ValueError, match=f"need 1 <= r <= 32, got {r}"):
+                fixtures.load(f"two_camps {r}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(ValueError, match="need 1 <= r <= 32, got 0"):
+        fixtures.two_camps(0)
+
+
 def test_unknown_fixture_lists_names():
     with pytest.raises(fixtures.UnknownFixtureError) as err:
         fixtures.load("nonsense")
@@ -82,6 +97,14 @@ def test_parametric_fixture_needs_argument():
         fixtures.load("k_partite")
     with pytest.raises(fixtures.UnknownFixtureError):
         fixtures.load("k_partite x")
+
+
+def test_fixture_parameter_is_ascii_digits_alone():
+    # `int` would read "1_0" as 10, and a fullwidth or signed 3 as 3
+    for arg in ("1_0", "\uff13", "+3"):
+        with pytest.raises(fixtures.UnknownFixtureError, match="takes an integer argument"):
+            fixtures.load(f"k_partite {arg}")
+    assert fixtures.load("k_partite 03") == fixtures.k_partite(3)
 
 
 def test_graph_fixtures_are_agreeable():
