@@ -35,9 +35,7 @@ from .exposure import (
 )
 from .geometry import (
     Arrangement,
-    Box,
     FVector,
-    RationalInterval,
     agreement_number,
     agreement_proportion,
     f_vector,
@@ -54,7 +52,6 @@ from .graphs import (
     degree_profile,
     is_agreeable,
     is_interval_graph,
-    interval_clique_order,
     strip_universal,
 )
 from .search import (

@@ -144,8 +144,9 @@ def quadratic_min_root(n: int, gamma: float) -> float:
 def comparison_table(d_max: int = 5) -> list[tuple[int, Fraction, float]]:
     """Rows (d, 1/(2d), iterated root-map bound) for d = 1..d_max; each row's
     bound is the one before it with one more `root_map`, as `gamma_lower`
-    iterates it."""
-    if d_max < 1:
-        raise ValueError(f"need d_max >= 1, got {d_max}")
+    iterates it.  The cost grows with d_max, so d_max stops at 1000, where
+    the module's accuracy guarantee for `gamma_lower` stops too."""
+    if not 1 <= d_max <= 1000:
+        raise ValueError(f"need 1 <= d_max <= 1000, got {d_max}")
     gammas = accumulate(range(1, d_max), lambda x, _: root_map(x), initial=0.5)
     return [(d, main_lower_bound(d), g) for d, g in zip(range(1, d_max + 1), gammas)]

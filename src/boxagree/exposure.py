@@ -7,8 +7,10 @@ lower endpoint c on axis 1 is largest is exposed by {x_1 = c}: every other
 box has lo <= c, so one that misses the hyperplane has hi < c and lies on
 the far side.  That lemma is why `find_exposed` returns its one candidate
 unchecked, read off the arrangement's integer grid; `validate_exposure` is
-the independent check that tests and `verify-paper` apply to it, and it
-reads the `Fraction` view of the boxes instead.  Note the naive sweep
+the independent check that tests and `verify-paper` apply to it.  It also
+reads the grid: it cross-multiplies the certificate's coordinate p/q with
+each endpoint e on the axis's scale s, comparing e*q with p*s, exact
+because q and s are positive.  Note the naive sweep
 picture (move a hyperplane in from infinity; the first box it touches is
 exposed) picks the largest *upper* endpoint instead and can fail the
 opposite-side condition, e.g. for [0,10] and [2,3] on a line.
@@ -18,7 +20,7 @@ B_i & B_j.  The intersection graph of B' is G - i, and by the Helly property
 its cliques count f(B'); so B' is read off the arrangement's cached graph
 and only B'' is swept.  B'' is built once on the parent's grid, each piece
 the max of the lows and the min of the highs, and is itself a grid-backed
-arrangement; `split` gives its boxes as a view.
+arrangement.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .geometry import Arrangement, Box, f_vector, intersection_graph
+from .geometry import Arrangement, _pair, f_vector, intersection_graph
 from .graphs import clique_counts
 from .search import default_eta_table
 
@@ -52,19 +54,20 @@ def validate_exposure(arr: Arrangement, cert: ExposureCertificate) -> bool:
     if not (1 <= cert.box_index <= arr.n and 1 <= cert.axis <= arr.dimension
             and cert.side in ("lower", "upper")):
         return False
-    q = arr.box(cert.box_index).sides[cert.axis - 1]
-    c = cert.coordinate
-    if (q.lo if cert.side == "lower" else q.hi) != c:
+    p, q = _pair(cert.coordinate)
+    axis = cert.axis - 1
+    c = p * arr._scales[axis]  # the hyperplane, times q and the axis's scale
+    lows, highs = arr._lows[axis], arr._highs[axis]
+    face = lows if cert.side == "lower" else highs
+    if face[cert.box_index - 1] * q != c:
         return False  # the hyperplane does not support the named face
-    for j, box in enumerate(arr.boxes, start=1):
-        if j == cert.box_index:
-            continue
-        side = box.sides[cert.axis - 1]
-        if side.lo <= c <= side.hi:
-            continue  # meets the hyperplane
-        if cert.side == "lower" and side.lo > c:
+    for lo, hi in zip(lows, highs):
+        lo, hi = lo * q, hi * q
+        if lo <= c <= hi:
+            continue  # meets the hyperplane, as the exposed box does
+        if cert.side == "lower" and lo > c:
             return False  # same (upper) side as the exposed box
-        if cert.side == "upper" and side.hi < c:
+        if cert.side == "upper" and hi < c:
             return False
     return True
 
@@ -78,7 +81,7 @@ def find_exposed(arr: Arrangement) -> ExposureCertificate:
     return ExposureCertificate(lows.index(c) + 1, 1, "lower", Fraction(c, arr._scales[0]))
 
 
-def _split(arr: Arrangement, i: int) -> tuple[tuple[int, ...], Arrangement | None]:
+def split(arr: Arrangement, i: int) -> tuple[tuple[int, ...], Arrangement | None]:
     """B'' for box i: the other indices j whose box meets box i, ascending,
     and the arrangement of their pieces B_i & B_j in that order, or None
     when box i meets no other box."""
@@ -103,16 +106,6 @@ def _split(arr: Arrangement, i: int) -> tuple[tuple[int, ...], Arrangement | Non
     return tuple(j + 1 for j in met), pieces
 
 
-def split(arr: Arrangement, i: int) -> dict[int, Box | None]:
-    """B'' for box i: a map from each other index j to B_i & B_j, None where
-    they miss, so the keys stay the indices of B' (G - i)."""
-    met, pieces = _split(arr, i)
-    out: dict[int, Box | None] = {j: None for j in range(1, arr.n + 1) if j != i}
-    if pieces is not None:
-        out.update(zip(met, pieces.boxes))
-    return out
-
-
 def split_identity_failures(arr: Arrangement) -> tuple[int, ...]:
     """The k in 1..n-1 where f_k(B) == f_k(B') + f_{k-1}(B'') fails, with
     the split taken once at the exposed box.  f(B) is the arrangement's
@@ -120,7 +113,7 @@ def split_identity_failures(arr: Arrangement) -> tuple[int, ...]:
     swept.  Each side counts cliques of every size in one traversal, so all
     k cost what one does."""
     i = find_exposed(arr).box_index
-    _, pieces = _split(arr, i)
+    _, pieces = split(arr, i)
     # row k holds f_k(B), f_k(B') and f_{k-1}(B''), 0 past each stored range
     rows = zip_longest(
         f_vector(arr).entries[1:],

@@ -1,10 +1,11 @@
 """On-disk formats: arrangements as JSON with exact rational coordinates,
 graphs as a plain edge-list text format.
 
-Rationals serialize as integers where possible and as "p/q" strings
-otherwise, so round-trips are exact.  A coordinate is read as
-`geometry._pair` reads an endpoint: a JSON integer, or a string holding an
-optional sign, ASCII digits and optionally a slash and ASCII digits.
+Rationals serialize as integers where possible and as "p/q" strings in
+lowest terms otherwise, written from the arrangement's integer grid, so
+round-trips are exact.  A coordinate is read as `geometry._pair` reads an
+endpoint: a JSON integer, or a string holding an optional sign, ASCII
+digits and optionally a slash and ASCII digits.
 Floats, booleans and strings outside that grammar ("1.5", "1e3", " 1/2 ",
 "1_000", "1/-2") are refused, as is a zero denominator.  Past the JSON
 object and its keys, an arrangement is read and checked by
@@ -19,7 +20,7 @@ labels are ASCII digits only, as coordinates are.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import gcd
 
 from .geometry import Arrangement, _is_digits
 from .graphs import MAX_VERTICES, Graph
@@ -33,18 +34,19 @@ class FormatError(ValueError):
         self.line = line
 
 
-def _rational_to_json(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _endpoint_to_json(x: int, scale: int):
+    """The endpoint x / scale of a grid in lowest terms: an int when the
+    scale divides x, otherwise a "p/q" string."""
+    common = gcd(x, scale)
+    p, q = x // common, scale // common
+    return p if q == 1 else f"{p}/{q}"
 
 
 def serialize_arrangement(arr: Arrangement) -> str:
-    payload = {
-        "dimension": arr.dimension,
-        "boxes": [
-            [[_rational_to_json(s.lo), _rational_to_json(s.hi)] for s in box.sides]
-            for box in arr.boxes
-        ],
-    }
+    axes = [[[_endpoint_to_json(lo, scale), _endpoint_to_json(hi, scale)]
+             for lo, hi in zip(lows, highs)]
+            for scale, lows, highs in zip(arr._scales, arr._lows, arr._highs)]
+    payload = {"dimension": arr.dimension, "boxes": list(zip(*axes))}
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -16,9 +16,9 @@ endpoints, and the endpoints times that scale: one integer low and one
 integer high per box.  The scale is positive, so the integers order exactly
 as the rationals do and no float is involved; it is the least one, so equal
 families have equal grids, and equality and hashing compare grids.  The
-`boxes` are a view of `Fraction` intervals, built on first read; building,
-parsing, the sweep, `find_exposed` and the split read the grid and build
-none.
+`boxes` are a read-only view of `Fraction` intervals, built on first read;
+its only readers are `repr` and callers outside the library.  Everything in
+the library reads the grid.
 
 `intersection_graph` sweeps each axis of the grid once.  With the boxes
 sorted by lower and by upper endpoint, the boxes that meet box i on an axis
@@ -86,27 +86,14 @@ def _pair(x: RationalLike) -> tuple[int, int]:
     raise TypeError(f"endpoint must be an int, a Fraction or a 'p/q' string, got {x!r}")
 
 
-def _frac(x: RationalLike) -> Fraction:
-    """`x` as a Fraction, read by `_pair` (its docstring has the grammar);
-    a Fraction is kept as it is."""
-    if type(x) is Fraction:
-        return x
-    p, q = _pair(x)
-    return Fraction(p, q)
-
-
 @dataclass(frozen=True)
 class RationalInterval:
-    """Closed, non-empty interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi], lo <= hi, of the `boxes` view.  Only
+    `Arrangement.boxes` builds these records, from a grid whose sides
+    `_read_axes` has checked, so they check nothing themselves."""
 
     lo: Fraction
     hi: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _frac(self.lo))
-        object.__setattr__(self, "hi", _frac(self.hi))
-        if self.hi < self.lo:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -114,26 +101,10 @@ class RationalInterval:
 
 @dataclass(frozen=True)
 class Box:
-    """Product of d closed intervals, one per coordinate axis."""
+    """Product of d closed intervals, one per coordinate axis, in the
+    `boxes` view."""
 
     sides: tuple[RationalInterval, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sides", tuple(self.sides))
-        if len(self.sides) < 1:
-            raise ValueError("a box needs at least one side")
-        for s in self.sides:
-            if not isinstance(s, RationalInterval):
-                raise TypeError(f"box side must be a RationalInterval, got {s!r}")
-
-    @classmethod
-    def of(cls, pairs) -> Box:
-        """Build a box from (lo, hi) pairs of ints, strings or Fractions."""
-        return cls(tuple(RationalInterval(lo, hi) for lo, hi in pairs))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.sides)
 
     def __repr__(self) -> str:
         return " x ".join(repr(s) for s in self.sides)
@@ -245,12 +216,6 @@ class Arrangement:
                  for lo, hi in zip(lows, highs)]
                 for scale, lows, highs in zip(self._scales, self._lows, self._highs)]
         return tuple(Box(sides) for sides in zip(*axes))
-
-    def box(self, i: int) -> Box:
-        """1-based access, matching the index family convention."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"box index {i} out of range 1..{self.n}")
-        return self.boxes[i - 1]
 
     def __repr__(self) -> str:
         return f"Arrangement(dimension={self.dimension!r}, boxes={self.boxes!r})"

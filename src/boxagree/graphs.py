@@ -471,17 +471,6 @@ def _has_asteroidal_triple(n: int, adj: tuple[int, ...]) -> bool:
     return False
 
 
-def interval_clique_order(g: Graph) -> list[int] | None:
-    """A linear order of the maximal cliques in which every vertex's cliques
-    are consecutive (Gilmore-Hoffman), or None when g is not an interval
-    graph.  The search that decides chordality lists the cliques, and only
-    an interval graph reaches the order search."""
-    cliques = _chordal_cliques(g.n, g._adj)
-    if cliques is None or _has_asteroidal_triple(g.n, g._adj):
-        return None
-    return _clique_order(g.n, cliques)
-
-
 def _clique_order(n: int, cliques: list[int]) -> list[int] | None:
     """A consecutive order of the maximal cliques `cliques` of a graph on n
     vertices, or None when there is none.

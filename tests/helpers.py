@@ -7,15 +7,15 @@ checked against something that cannot share their bugs.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from random import Random
 
 from boxagree import (
     Arrangement,
-    Box,
+    ExposureCertificate,
     Graph,
-    RationalInterval,
     clique_number,
     decide_boxicity_leq,
     is_interval_graph,
@@ -88,37 +88,73 @@ def rational_literal(rng: Random, x: Fraction):
 
 
 def box_specs(boxes) -> list:
-    """Per-box lists of (lo, hi) `Fraction` pairs, as `Arrangement.of`
-    takes them."""
-    return [[(s.lo, s.hi) for s in b.sides] for b in boxes]
+    """Per-box tuples of (lo, hi) `Fraction` pairs, from the records of an
+    arrangement's `boxes` view; `Arrangement.of` takes them, and the
+    `Fraction` oracles below work on them."""
+    return [tuple((s.lo, s.hi) for s in b.sides) for b in boxes]
 
 
-def interval_meet_oracle(a: RationalInterval,
-                         b: RationalInterval) -> RationalInterval | None:
-    """The meet of two closed intervals by `Fraction`'s own max, min and
-    <=, with no integer shortcut."""
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    return RationalInterval(lo, hi) if lo <= hi else None
+def interval_meet_oracle(a: tuple, b: tuple) -> tuple | None:
+    """The meet of two closed intervals, each a (lo, hi) pair, by
+    `Fraction`'s own max, min and <=, with no integer shortcut."""
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    return (lo, hi) if lo <= hi else None
 
 
-def intersect_boxes(a: Box, b: Box) -> Box | None:
-    """Side-by-side meet of two boxes on their `Fraction` sides; None when
-    any side comes up empty.  Commutative and associative where defined."""
-    if a.dimension != b.dimension:
-        raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    sides = [interval_meet_oracle(sa, sb) for sa, sb in zip(a.sides, b.sides)]
-    return None if None in sides else Box(tuple(sides))
+def intersect_boxes(a: tuple, b: tuple) -> tuple | None:
+    """Side-by-side meet of two boxes, each a tuple of (lo, hi) pairs; None
+    when any side comes up empty.  Commutative and associative where
+    defined."""
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    sides = tuple(interval_meet_oracle(sa, sb) for sa, sb in zip(a, b))
+    return None if None in sides else sides
 
 
-def box_contains(box: Box, point: tuple[Fraction, ...]) -> bool:
+def box_contains(box: tuple, point: tuple[Fraction, ...]) -> bool:
     """Whether the closed box holds the point, side by side."""
-    return all(s.lo <= x <= s.hi for s, x in zip(box.sides, point))
+    return all(lo <= x <= hi for (lo, hi), x in zip(box, point))
 
 
 def split_oracle(arr: Arrangement, i: int) -> dict:
-    """B'' for box i by `intersect_boxes` on the Fraction boxes."""
-    bi = arr.box(i)
-    return {j: intersect_boxes(bi, arr.box(j)) for j in range(1, arr.n + 1) if j != i}
+    """B'' for box i by `intersect_boxes` on the Fraction boxes: a map from
+    each other index j to B_i & B_j, None where they miss."""
+    boxes = box_specs(arr.boxes)
+    return {j: intersect_boxes(boxes[i - 1], boxes[j - 1])
+            for j in range(1, arr.n + 1) if j != i}
+
+
+def exposure_oracle(boxes: list, cert: ExposureCertificate) -> bool:
+    """The two defining conditions of an exposed box on `Fraction` sides:
+    the hyperplane supports the box on the named face, and every other box
+    that misses the hyperplane lies strictly on the far side.  A box index,
+    axis or side out of range gets False."""
+    if not (1 <= cert.box_index <= len(boxes) and 1 <= cert.axis <= len(boxes[0])
+            and cert.side in ("lower", "upper")):
+        return False
+    axis, c = cert.axis - 1, cert.coordinate
+    lo, hi = boxes[cert.box_index - 1][axis]
+    if (lo if cert.side == "lower" else hi) != c:
+        return False
+    for j, box in enumerate(boxes, start=1):
+        lo, hi = box[axis]
+        if j == cert.box_index or lo <= c <= hi:
+            continue
+        if (lo > c) if cert.side == "lower" else (hi < c):
+            return False  # on the exposed box's own side
+    return True
+
+
+def serialize_oracle(dimension: int, boxes: list) -> str:
+    """The JSON file of an arrangement written from its `Fraction` sides:
+    each endpoint an int when its reduced denominator is 1, "p/q"
+    otherwise."""
+    def literal(x: Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    payload = {"dimension": dimension,
+               "boxes": [[[literal(lo), literal(hi)] for lo, hi in box] for box in boxes]}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def random_graph(rng: Random, max_n: int = 10, p: float = 0.5) -> Graph:
@@ -135,7 +171,7 @@ def random_graph(rng: Random, max_n: int = 10, p: float = 0.5) -> Graph:
 def pairwise_intersection_graph(arr: Arrangement) -> Graph:
     """The intersection graph by comparing every pair of boxes: closed boxes
     meet iff on every axis each side starts no later than the other ends."""
-    sides = [[(s.lo, s.hi) for s in b.sides] for b in arr.boxes]
+    sides = box_specs(arr.boxes)
     edges = [
         (i + 1, j + 1)
         for i, a in enumerate(sides)
@@ -147,12 +183,13 @@ def pairwise_intersection_graph(arr: Arrangement) -> Graph:
 
 def brute_force_f_vector(arr: Arrangement) -> list[int]:
     """f_k by scanning every index subset and intersecting from scratch."""
+    boxes = box_specs(arr.boxes)
     counts = [0] * arr.n
     for size in range(1, arr.n + 1):
         for subset in combinations(range(arr.n), size):
-            running = arr.boxes[subset[0]]
+            running = boxes[subset[0]]
             for idx in subset[1:]:
-                running = intersect_boxes(running, arr.boxes[idx])
+                running = intersect_boxes(running, boxes[idx])
                 if running is None:
                     break
             if running is not None:
@@ -164,30 +201,28 @@ def lower_endpoint_depth(arr: Arrangement) -> int:
     """Max overlap count over the grid of lower endpoints (at most n^d
     points): any deepest cell is itself a box whose lower corner lies on
     that grid."""
-    axes = [sorted({b.sides[a].lo for b in arr.boxes}) for a in range(arr.dimension)]
+    boxes = box_specs(arr.boxes)
+    axes = [sorted({b[a][0] for b in boxes}) for a in range(arr.dimension)]
     best = 0
     for point in product(*axes):
-        best = max(best, sum(1 for b in arr.boxes if box_contains(b, point)))
+        best = max(best, sum(1 for b in boxes if box_contains(b, point)))
     return best
 
 
 def brute_force_depth(arr: Arrangement) -> int:
     """Max overlap count over the full endpoint grid (lows and highs)."""
-    axes = []
-    for a in range(arr.dimension):
-        coords = {b.sides[a].lo for b in arr.boxes}
-        coords |= {b.sides[a].hi for b in arr.boxes}
-        axes.append(sorted(coords))
+    boxes = box_specs(arr.boxes)
+    axes = [sorted({x for b in boxes for x in b[a]}) for a in range(arr.dimension)]
     best = 0
     for point in product(*axes):
-        best = max(best, sum(1 for b in arr.boxes if box_contains(b, point)))
+        best = max(best, sum(1 for b in boxes if box_contains(b, point)))
     return best
 
 
 def geometric_triple_property(arr: Arrangement) -> bool:
     """Form 1 of (2,3)-agreeability, straight from the geometry."""
-    for i, j, k in combinations(range(arr.n), 3):
-        bi, bj, bk = arr.boxes[i], arr.boxes[j], arr.boxes[k]
+    boxes = box_specs(arr.boxes)
+    for bi, bj, bk in combinations(boxes, 3):
         if (intersect_boxes(bi, bj) is None
                 and intersect_boxes(bi, bk) is None
                 and intersect_boxes(bj, bk) is None):

@@ -153,6 +153,9 @@ def test_comparison_table_shape():
     rows = comparison_table(5)
     assert [d for d, _, _ in rows] == [1, 2, 3, 4, 5]
     assert rows[0][1] == Fraction(1, 2) and rows[0][2] == 0.5
+    for d_max in (0, 1001):
+        with pytest.raises(ValueError, match="need 1 <= d_max <= 1000"):
+            comparison_table(d_max)
 
 
 def test_comparison_table_maps_once_per_row(monkeypatch):

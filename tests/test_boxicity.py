@@ -441,4 +441,4 @@ def test_boxicity_two_graphs_get_exact_planar_coordinates():
     g = fixtures.expected_graph("fig38a")
     witness = decide_boxicity_leq(g, 2).witness
     assert witness.n == 8
-    assert all(b.dimension == 2 for b in witness.boxes)
+    assert witness.dimension == 2

@@ -121,6 +121,18 @@ def test_bounds_prints_no_negative_zero_at_large_d():
     assert "-0.0000" not in proc.stdout
 
 
+def test_bounds_refuses_d_max_above_1000_before_any_row(capsys):
+    # the table's cost grows with d_max: 10^9 rows would run for hours
+    for d_max in ("1001", "1000000000", "0"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "--d-max", d_max)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert f"need 1 <= d_max <= 1000, got {d_max}" in err
+    code, out, _ = run(capsys, "bounds", "--d-max", "1000")
+    assert code == 0 and "\n1000 " in out
+
+
 def test_search_eta_table(capsys):
     code, out, _ = run(capsys, "search-eta")
     assert code == 0

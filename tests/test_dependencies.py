@@ -1,5 +1,7 @@
-"""`dependencies = []`: the library imports nothing outside the standard
-library.  networkx, sympy and hypothesis serve the tests alone."""
+"""Guards over the library's source.  `dependencies = []`: the library
+imports nothing outside the standard library; networkx, sympy and
+hypothesis serve the tests alone.  And an arrangement's integer grid is the
+one thing the library reads of its boxes."""
 
 import ast
 import sys
@@ -24,3 +26,16 @@ def test_library_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_only_geometry_reads_the_fraction_view():
+    # `boxes` and its records' `sides` are a view for `repr` and callers
+    # outside the library; every other module reads the grid
+    readers = []
+    for path in SOURCES:
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("boxes", "sides", "box"):
+                readers.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert readers == []

@@ -16,10 +16,17 @@ from boxagree import (
     validate_exposure,
     verify_split_identity,
 )
-from boxagree import MissingEtaError, fixtures, geometry
+from boxagree import MissingEtaError, fixtures, geometry, verify
 from boxagree.formats import parse_arrangement, serialize_arrangement
 
-from helpers import box_specs, random_arrangement, random_rational_specs, split_oracle
+from helpers import (
+    box_specs,
+    exposure_oracle,
+    random_arrangement,
+    random_rational_specs,
+    serialize_oracle,
+    split_oracle,
+)
 
 
 def test_exposure_figure_claim_validates():
@@ -67,21 +74,20 @@ def test_validator_rejects_a_box_index_out_of_range():
 
 def test_split_two_disjoint_boxes():
     arr = Arrangement.of(2, [[(0, 1), (0, 1)], [(2, 3), (2, 3)]])
-    assert split(arr, 1) == {2: None}
+    assert split(arr, 1) == ((), None)
 
 
 def test_split_fig38a_at_exposed_box_has_four_pieces():
     a38 = fixtures.load("fig38a")
     idx = find_exposed(a38).box_index
-    pieces = split(a38, idx)
-    assert sorted(pieces) == [j for j in range(1, 9) if j != idx]
-    assert sum(1 for b in pieces.values() if b is not None) == 4
+    met, pieces = split(a38, idx)
+    assert len(met) == pieces.n == 4 and idx not in met and list(met) == sorted(met)
 
 
 def test_split_z5_at_box_one():
-    pieces = split(fixtures.load("z5"), 1)
-    assert sum(1 for b in pieces.values() if b is not None) == 2
-    assert set(pieces) == {2, 3, 4, 5}
+    met, pieces = split(fixtures.load("z5"), 1)
+    assert met == (2, 3)
+    assert pieces == Arrangement.of(2, [[(1, 2), (3, 5)], [(3, 4), (4, 5)]])
 
 
 def test_split_pieces_match_the_intersect_boxes_oracle():
@@ -93,10 +99,13 @@ def test_split_pieces_match_the_intersect_boxes_oracle():
         if arr.n < 2:
             continue
         for i in range(1, arr.n + 1):
-            pieces = split(arr, i)
-            assert pieces == split_oracle(arr, i)
-            present += sum(b is not None for b in pieces.values())
-            absent += sum(b is None for b in pieces.values())
+            met, pieces = split(arr, i)
+            oracle = {j: b for j, b in split_oracle(arr, i).items() if b is not None}
+            assert met == tuple(oracle)
+            assert pieces == (Arrangement.of(arr.dimension, list(oracle.values()))
+                              if oracle else None)
+            present += len(met)
+            absent += arr.n - 1 - len(met)
     assert present > 1000 and absent > 1000
 
 
@@ -208,35 +217,71 @@ def test_find_exposed_matches_a_fraction_oracle_on_rational_coordinates():
     assert ties > 100
 
 
+def test_validator_matches_a_fraction_oracle_on_rational_coordinates():
+    # every box, axis and face, at the face's own coordinate and 1/q to
+    # either side of it, q its denominator: the grid's cross-multiplied
+    # check and the Fraction definition agree on each
+    rng = Random(2701)
+    verdicts = [0, 0]
+    for _ in range(1000):
+        specs = random_rational_specs(rng, max_n=8, max_d=3)
+        arr = Arrangement.of(len(specs[0]), specs)
+        for i, box in enumerate(specs, start=1):
+            for axis, (lo, hi) in enumerate(box, start=1):
+                for side, c in (("lower", lo), ("upper", hi)):
+                    step = Fraction(1, c.denominator)
+                    for coordinate in (c, c - step, c + step):
+                        cert = ExposureCertificate(i, axis, side, coordinate)
+                        verdict = validate_exposure(arr, cert)
+                        assert verdict == exposure_oracle(specs, cert), (specs, cert)
+                        verdicts[verdict] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 10000
+    # a box that is not exposed, and a coordinate off the face
+    line = Arrangement.of(1, [[(0, 10)], [(2, 3)]])
+    z5 = fixtures.load("z5")
+    for arr, cert in ((line, ExposureCertificate(1, 1, "upper", Fraction(10))),
+                      (z5, ExposureCertificate(1, 1, "lower", Fraction(2)))):
+        assert not validate_exposure(arr, cert)
+        assert not exposure_oracle(box_specs(arr.boxes), cert)
+
+
 def test_exposure_and_split_identity_build_no_fraction_intervals(monkeypatch):
-    # building, parsing, graph, f-vector, exposure and the split identity
-    # read the grid
-    built = []
-    real_post_init = geometry.RationalInterval.__post_init__
-
-    def counted(self):
-        built.append(self)
-        real_post_init(self)
-
+    # building, parsing, graph, f-vector, exposure, the split, the split
+    # identity and the serializer read the grid: none builds the view
     names = ("z5", "fig38a", "fig38b", "exposure")
     texts = [serialize_arrangement(fixtures.load(name)) for name in names]
-    specs = box_specs(fixtures.load("fig38b").boxes)
-    monkeypatch.setattr(geometry.RationalInterval, "__post_init__", counted)
+    rng = Random(2702)
+    for _ in range(1000):
+        specs = random_rational_specs(rng)
+        texts.append(serialize_oracle(len(specs[0]), specs))
     # a fresh copy of the fixtures module builds each fixture with `Arrangement.of`
     spec = importlib.util.spec_from_file_location("boxagree._fixtures_copy", fixtures.__file__)
     fresh = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fresh)
-    assert [fresh.load(name) for name in names] == [fixtures.load(name) for name in names]
-    assert Arrangement.of(2, specs) == fixtures.load("fig38b")
-    for text in texts:
-        arr = parse_arrangement(text)
+    arrangements = [fresh.load(name) for name in names]
+    arrangements += map(parse_arrangement, texts)
+    for arr in arrangements:
         intersection_graph(arr)
         geometry.f_vector(arr)
-        find_exposed(arr)
-        assert split_identity_failures(arr) == ()
-    assert built == []
-    # the Fraction view is where intervals are built
-    assert arr.box(1) and len(built) == arr.n * arr.dimension
+        assert validate_exposure(arr, find_exposed(arr))
+        assert parse_arrangement(serialize_arrangement(arr)) == arr
+        pieces = []
+        if arr.n > 1:  # a split needs two boxes
+            pieces = [split(arr, i)[1] for i in range(1, arr.n + 1)]
+            assert split_identity_failures(arr) == ()
+        for a in [arr, *filter(None, pieces)]:
+            assert "boxes" not in vars(a)
+    assert arrangements[:4] == [fixtures.load(name) for name in names]
+    # nor does a pass of the paper checks read the view, of any arrangement
+    views = []
+    real_view = geometry.Arrangement.boxes
+    monkeypatch.setattr(geometry.Arrangement, "boxes",
+                        property(lambda arr: views.append(arr) or real_view.func(arr)))
+    assert all(c.ok for c in verify.run_paper_checks())
+    assert views == []
+    # `repr` is the view's reader
+    repr(arrangements[0])
+    assert views == [arrangements[0]]
 
 
 # -- recurrences ---------------------------------------------------------------

@@ -31,7 +31,7 @@ def test_every_arrangement_fixture_matches_registered_graph():
 def test_z5_shape():
     z5 = fixtures.load("z5")
     assert z5.n == 5 and z5.dimension == 2
-    assert z5.box(1).sides[0].lo == 1
+    assert z5.boxes[0].sides[0].lo == 1
 
 
 def test_fig134_construction():
@@ -145,8 +145,8 @@ def test_arrangement_round_trip_fixtures():
 def test_arrangement_rationals_as_strings():
     text = '{"dimension": 1, "boxes": [[["1/2", "7/3"]], [[0, 2]]]}'
     arr = parse_arrangement(text)
-    assert arr.box(1).sides[0].lo == Fraction(1, 2)
-    assert arr.box(2).sides[0].hi == 2
+    assert arr.boxes[0].sides[0].lo == Fraction(1, 2)
+    assert arr.boxes[1].sides[0].hi == 2
 
 
 def test_arrangement_parse_errors():

