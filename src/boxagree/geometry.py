@@ -30,8 +30,11 @@ plus n word-sized bitset ANDs per axis.
 Every value here is immutable.  An `Arrangement` builds its intersection
 graph and its f-vector on first use and keeps them (each a
 `functools.cached_property`, outside equality, hashing and `repr`), so the
-invariants below share one build.  Concurrent first uses may each build a
-value; they build equal ones.
+invariants below share one build.  The graph in turn keeps its clique
+number and its clique counts, also outside equality and hashing: depth
+and the f-vector come from one clique traversal of one graph, and so do
+callers' own clique questions on that graph.  Concurrent first uses may
+each build a value; they build equal ones.
 
 Endpoints are read from ints, `Fraction`s and strings by `_pair` alone (the
 grammar is in its docstring), as integer pairs (p, q) with q > 0.  Every
@@ -42,6 +45,7 @@ each axis on the grid; `Arrangement.of` and the file parser both call it.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +63,10 @@ def _is_digits(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
+# [0-9], not \d: a digit of another script is no part of a literal
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
 def _pair(x: RationalLike) -> tuple[int, int]:
     """`x` as integers (p, q) with q > 0 and x = p/q, not always in lowest
     terms.  A string must be a rational literal: an optional sign, decimal
@@ -74,10 +82,10 @@ def _pair(x: RationalLike) -> tuple[int, int]:
     if kind is Fraction:
         return x.numerator, x.denominator
     if kind is str:
-        num, slash, den = x.partition("/")
-        digits = num[1:] if num[:1] in ("+", "-") else num
-        if _is_digits(digits) and (not slash or _is_digits(den)):
-            q = int(den) if slash else 1
+        literal = _LITERAL(x)
+        if literal:
+            num, den = literal.groups()
+            q = int(den) if den else 1
             if q == 0:
                 raise ZeroDivisionError(f"{x!r} has a zero denominator")
             return int(num), q

@@ -5,7 +5,11 @@ one machine word; all the heavy queries (cliques, canonical forms with
 automorphism generators, interval recognition) run on those bitsets.  One
 maximum cardinality search both decides chordality and lists the maximal
 cliques that a consecutive clique order arranges.  Graphs are immutable
-values and every function here is pure.
+values, and every function here answers as a pure function would.  A graph
+keeps its clique number and its clique counts once the clique functions
+have found them, in two memo slots outside equality, hashing and `repr`,
+so one traversal serves every later question on the same object.
+Concurrent first uses may each count; they build equal values.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ MAX_VERTICES = 64
 class Graph:
     """Immutable simple graph; adjacency stored as one int bitset per vertex."""
 
-    __slots__ = ("n", "_adj")
+    # _clique_number and _clique_counts are memos that only the clique
+    # functions below read and fill; None until first found
+    __slots__ = ("n", "_adj", "_clique_number", "_clique_counts")
 
     def __init__(self, n: int, edges=()) -> None:
         _check_order(n)
@@ -34,6 +40,7 @@ class Graph:
             adj[v - 1] |= 1 << (u - 1)
         self.n = n
         self._adj = tuple(adj)
+        self._clique_number = self._clique_counts = None
 
     @classmethod
     def from_masks(cls, n: int, masks) -> Graph:
@@ -43,6 +50,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g._adj = tuple(masks)
+        g._clique_number = g._clique_counts = None
         return g
 
     # -- basic queries -------------------------------------------------
@@ -201,8 +209,12 @@ def _has_clique(adj: tuple[int, ...], cand: int, target: int) -> bool:
 
 
 def clique_number(g: Graph) -> int:
-    """Exact clique number via bitset branch and bound."""
-    return _max_clique_size(g._adj, (1 << g.n) - 1)
+    """Exact clique number via bitset branch and bound.  The length of the
+    graph's clique counts when those are known; otherwise the branch and
+    bound runs once per graph, which keeps its result."""
+    if g._clique_number is None:
+        g._clique_number = _max_clique_size(g._adj, (1 << g.n) - 1)
+    return g._clique_number
 
 
 def _membership(n: int, sets) -> list[int]:
@@ -274,9 +286,16 @@ def _is_clique(mask: int, adj: tuple[int, ...]) -> bool:
 
 
 def count_cliques_of_size(g: Graph, s: int) -> int:
-    """Number of s-element vertex sets inducing complete subgraphs."""
+    """Number of s-element vertex sets inducing complete subgraphs.  Read
+    off the graph's clique counts when those are known.  Otherwise a
+    traversal pruned by this one size counts them and the graph keeps
+    nothing: counting every size instead would walk every clique, 3^32 of
+    them in the complete 32-partite graph on pairs."""
     if not 1 <= s <= g.n:
         raise ValueError(f"s must be in 1..{g.n}, got {s}")
+    if g._clique_counts is not None:
+        counts = g._clique_counts
+        return counts[s - 1] if s <= len(counts) else 0
     if s == 1:
         return g.n
     if s == 2:
@@ -307,8 +326,12 @@ def count_cliques_of_size(g: Graph, s: int) -> int:
 
 def clique_counts(g: Graph) -> list[int]:
     """Entry s - 1 is the number of s-cliques, for s = 1..omega, all from
-    one traversal.  `count_cliques_of_size` prunes by its one size and
-    stays the faster way to ask for a single s."""
+    one traversal.  The graph keeps the counts and its clique number, their
+    length, so the traversal runs once per graph; each call returns a fresh
+    list.  On a graph that has not counted yet, `count_cliques_of_size`
+    prunes by its one size and stays the faster way to ask for a single s."""
+    if g._clique_counts is not None:
+        return list(g._clique_counts)
     adj = g._adj
     counts = [0] * (g.n + 1)  # counts[s]: the s-cliques
 
@@ -327,6 +350,8 @@ def clique_counts(g: Graph) -> list[int]:
 
     extend((1 << g.n) - 1, 0)
     omega = max(s for s, c in enumerate(counts) if c)
+    g._clique_counts = tuple(counts[1:omega + 1])
+    g._clique_number = omega
     return counts[1:omega + 1]
 
 

@@ -8,6 +8,7 @@ checked against something that cannot share their bugs.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from random import Random
@@ -21,6 +22,7 @@ from boxagree import (
     is_interval_graph,
     roberts_upper_bound,
 )
+from boxagree.geometry import _is_digits
 from boxagree.graphs import (
     _bits,
     _canonical_labelling,
@@ -85,6 +87,20 @@ def rational_literal(rng: Random, x: Fraction):
     k = rng.choice((1, 1, 2, 3, 10))
     sign = "+" if x >= 0 and rng.random() < 0.3 else ""
     return f"{sign}{x.numerator * k}/{x.denominator * k}"
+
+
+def pair_oracle(x: str) -> tuple[int, int]:
+    """A rational literal as integers (p, q), by splitting at the slash and
+    testing each part's characters: the reader `geometry._pair` used for
+    strings before it matched one pattern."""
+    num, slash, den = x.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if _is_digits(digits) and (not slash or _is_digits(den)):
+        q = int(den) if slash else 1
+        if q == 0:
+            raise ZeroDivisionError(f"{x!r} has a zero denominator")
+        return int(num), q
+    raise ValueError(f"{x!r} is not a rational literal")
 
 
 def box_specs(boxes) -> list:
@@ -467,6 +483,13 @@ def refine_oracle(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> N
                         queue.append(pos)
                     pos += piece.bit_count()
             t += size
+
+
+def clique_counts_oracle(g: Graph) -> list[int]:
+    """Entry s - 1 counts the s-cliques, s = 1..omega, tallied by size from
+    the unpruned list of every clique."""
+    sizes = Counter(c.bit_count() for c in all_cliques(g._adj))
+    return [sizes[s] for s in range(1, max(sizes) + 1)]
 
 
 def all_cliques(adj: tuple[int, ...]) -> list[int]:

@@ -1,7 +1,8 @@
 """Guards over the library's source.  `dependencies = []`: the library
 imports nothing outside the standard library; networkx, sympy and
-hypothesis serve the tests alone.  And an arrangement's integer grid is the
-one thing the library reads of its boxes."""
+hypothesis serve the tests alone.  An arrangement's integer grid is the
+one thing the library reads of its boxes.  And a graph's clique memo is
+read and written in `graphs.py` alone."""
 
 import ast
 import sys
@@ -39,3 +40,23 @@ def test_only_geometry_reads_the_fraction_view():
             if isinstance(node, ast.Attribute) and node.attr in ("boxes", "sides", "box"):
                 readers.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert readers == []
+
+
+def test_only_graphs_touches_the_clique_memo():
+    # a graph keeps its clique number and counts in two slots; a second
+    # copy of the counts elsewhere, or a write from outside, could disagree
+    memo = {"_clique_number", "_clique_counts"}
+    seen = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name in memo:
+                seen.setdefault(path.name, []).append(f"{node.lineno}: {name}")
+    assert set(seen) == {"graphs.py"}, seen

@@ -30,6 +30,7 @@ from helpers import (
     intersect_boxes,
     interval_meet_oracle,
     lower_endpoint_depth,
+    pair_oracle,
     pairwise_intersection_graph,
     random_arrangement,
     random_rational_specs,
@@ -78,6 +79,27 @@ def test_rational_literal_outside_the_grammar_is_refused(text):
         _pair(text)
     with pytest.raises(FormatError):
         parse_arrangement(json.dumps({"dimension": 1, "boxes": [[[text, 9]]]}))
+
+
+def test_rational_literal_reader_matches_the_split_and_test_oracle():
+    # strings over the grammar's characters and its near misses: both
+    # readers accept the same ones, read them alike and refuse the rest
+    # with the same exception type
+    alphabet = "0123456789" * 2 + "+-/ _.e\n\u0663"
+    rng = Random(41)
+    accepted = 0
+    for _ in range(100_000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 6)))
+        try:
+            expected = pair_oracle(text)
+        except (ValueError, ZeroDivisionError) as refusal:
+            with pytest.raises((ValueError, ZeroDivisionError)) as info:
+                _pair(text)
+            assert info.type is type(refusal), text
+        else:
+            assert _pair(text) == expected, text
+            accepted += 1
+    assert accepted > 10_000
 
 
 def test_rational_literal_with_zero_denominator_is_refused():

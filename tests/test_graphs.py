@@ -1,6 +1,6 @@
 import math
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -31,6 +31,7 @@ from boxagree.graphs import (
 
 from helpers import (
     automorphism_orbits_oracle,
+    clique_counts_oracle,
     cliques_oracle,
     complete,
     cycle,
@@ -189,6 +190,88 @@ def test_clique_counts_edgeless_complete_and_nested_boxes():
     assert clique_counts(complete(12)) == [math.comb(12, s) for s in range(1, 13)]
     nested = Arrangement.of(2, [[(i, 60 - i), (i, 60 - i)] for i in range(30)])
     assert clique_counts(intersection_graph(nested)) == [math.comb(30, k + 1) for k in range(30)]
+
+
+def _memo_graphs() -> list[Graph]:
+    """Seeded G(n, p) with n <= 20 and every graph fixture, each a fresh
+    copy: the fixtures are shared objects that other tests may have warmed."""
+    rng = Random(31)
+    gs = [random_graph(rng, max_n=20, p=0.8 * rng.random()) for _ in range(24)]
+    for name, _ in fixtures.names():
+        if name == "k_partite":
+            gs += [fixtures.k_partite(d) for d in (1, 2, 5, 10)]
+        elif name == "two_camps":
+            gs += [intersection_graph(fixtures.two_camps(r)) for r in (1, 4, 10)]
+        else:
+            obj = fixtures.load(name)
+            gs.append(obj if isinstance(obj, Graph) else intersection_graph(obj))
+    return [Graph(g.n, g.edges()) for g in gs]
+
+
+@pytest.mark.parametrize("order", list(permutations(("number", "counts", "by_size"))))
+def test_clique_memo_answers_alike_in_every_first_use_order(order):
+    for g in _memo_graphs():
+        counts = clique_counts_oracle(g)
+        omega = len(counts)
+        for step in order:
+            if step == "number":
+                assert clique_number(g) == omega
+            elif step == "counts":
+                assert clique_counts(g) == counts
+            else:
+                # cold when it comes first, warm after `clique_counts`
+                assert [count_cliques_of_size(g, s) for s in range(1, g.n + 1)] \
+                    == counts + [0] * (g.n - omega), g
+
+
+def test_clique_counts_hands_out_a_fresh_list():
+    g = fixtures.k_partite(4)
+    counts = clique_counts(g)
+    counts[2] = -1
+    counts.append(5)
+    assert clique_counts(g) == [8, 24, 32, 16]
+    assert count_cliques_of_size(g, 3) == 32 and clique_number(g) == 4
+
+
+def test_warm_graph_is_the_same_value_as_a_cold_one():
+    for g in _memo_graphs():
+        warm = Graph(g.n, g.edges())
+        clique_counts(warm)
+        assert warm == g and g == warm
+        assert hash(warm) == hash(g) and repr(warm) == repr(g)
+        assert len({warm, g}) == 1
+
+
+def test_graphs_derived_from_a_warm_graph_start_cold():
+    rng = Random(37)
+    for g in _memo_graphs():
+        clique_counts(g)
+        keep = sorted(rng.sample(range(1, g.n + 1), rng.randint(1, g.n)))
+        for h in (g.complement(), g.induced(keep)):
+            assert h._clique_number is None and h._clique_counts is None
+            counts = clique_counts_oracle(h)
+            assert count_cliques_of_size(h, 1) == h.n
+            assert clique_number(h) == len(counts)
+            assert clique_counts(h) == counts
+
+
+def test_count_cliques_of_size_on_a_cold_graph_never_counts_every_size(monkeypatch):
+    calls = []
+    real = graphs.clique_counts
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "clique_counts", counted)
+    # 3^32 cliques: a walk over every size would not finish
+    g = fixtures.k_partite(32)
+    assert count_cliques_of_size(g, 3) == math.comb(32, 3) * 8
+    assert calls == [] and g._clique_counts is None
+    small = fixtures.k_partite(5)
+    assert [count_cliques_of_size(small, s) for s in range(1, 11)] \
+        == [math.comb(5, s) * 2 ** s for s in range(1, 6)] + [0] * 5
+    assert calls == [] and small._clique_counts is None
 
 
 def test_count_cliques_rejects_bad_size():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from boxagree import Arrangement, exposure, fixtures, search, verify
+from boxagree import Arrangement, Graph, exposure, fixtures, search, verify
 from boxagree.exposure import ExposureCertificate, split_identity_failures
 
 from helpers import box_specs
@@ -54,6 +54,30 @@ def test_each_walk_and_split_runs_once_per_pass(monkeypatch):
     assert len(splits) == 5
     assert results["main theorem d=1"].detail == "rho(2,1) = 1/2 >= 1/2"
     assert results["main theorem d=2"].detail == "rho(2,2) = 2/5 >= 1/4"
+
+
+def test_clique_checks_count_by_size_before_anything_counts_every_size(monkeypatch):
+    # the triangle and 4-clique checks and the f-vector checks come from
+    # separate traversals only while each count by size meets a graph that
+    # has not counted every size: fresh fixtures show a first run's order
+    real_load, real_count = fixtures.load, verify.count_cliques_of_size
+
+    def fresh(name):
+        obj = real_load(name)
+        if isinstance(obj, Graph):
+            return Graph(obj.n, obj.edges())
+        return Arrangement.of(obj.dimension, box_specs(obj.boxes))
+
+    warm = []
+
+    def count(g, s):
+        warm.append(g._clique_counts is not None)
+        return real_count(g, s)
+
+    monkeypatch.setattr(fixtures, "load", fresh)
+    monkeypatch.setattr(verify, "count_cliques_of_size", count)
+    assert all(c.ok for c in verify.run_paper_checks())
+    assert warm == [False] * 4
 
 
 def test_split_identity_check_fails_when_a_piece_is_dropped(monkeypatch):
