@@ -108,10 +108,10 @@ def split(arr: Arrangement, i: int) -> tuple[tuple[int, ...], Arrangement | None
 
 def split_identity_failures(arr: Arrangement) -> tuple[int, ...]:
     """The k in 1..n-1 where f_k(B) == f_k(B') + f_{k-1}(B'') fails, with
-    the split taken once at the exposed box.  f(B) is the arrangement's
-    cached f-vector and f(B') the clique counts of G - i; only B'' is
-    swept.  Each side counts cliques of every size in one traversal, so all
-    k cost what one does."""
+    the split taken once at the exposed box.  f(B) is the clique counts
+    that the arrangement's graph keeps and f(B') those of G - i; only B''
+    is swept.  Each side counts cliques of every size in one traversal, so
+    all k cost what one does."""
     i = find_exposed(arr).box_index
     _, pieces = split(arr, i)
     # row k holds f_k(B), f_k(B') and f_{k-1}(B''), 0 past each stored range

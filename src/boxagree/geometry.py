@@ -28,13 +28,13 @@ is the AND of these rows over the axes: O(d n log n) integer comparisons
 plus n word-sized bitset ANDs per axis.
 
 Every value here is immutable.  An `Arrangement` builds its intersection
-graph and its f-vector on first use and keeps them (each a
-`functools.cached_property`, outside equality, hashing and `repr`), so the
-invariants below share one build.  The graph in turn keeps its clique
-number and its clique counts, also outside equality and hashing: depth
-and the f-vector come from one clique traversal of one graph, and so do
-callers' own clique questions on that graph.  Concurrent first uses may
-each build a value; they build equal ones.
+graph on first use and keeps it (a `functools.cached_property`, outside
+equality, hashing and `repr`), so the invariants below share one build.
+The graph in turn keeps its clique number and its clique counts, the one
+copy of them, also outside equality and hashing: depth and the f-vector
+come from one clique traversal of one graph, and so do callers' own clique
+questions on that graph.  Concurrent first uses may each build a value;
+they build equal ones.
 
 Endpoints are read from ints, `Fraction`s and strings by `_pair` alone (the
 grammar is in its docstring), as integer pairs (p, q) with q > 0.  Every
@@ -232,11 +232,6 @@ class Arrangement:
     def _graph(self) -> Graph:
         return _sweep(self)
 
-    @cached_property
-    def _f_vector(self) -> FVector:
-        counts = clique_counts(intersection_graph(self))
-        return FVector(tuple(counts) + (0,) * (self.n - len(counts)))
-
 
 @dataclass(frozen=True)
 class FVector:
@@ -308,6 +303,7 @@ def agreement_proportion(arr: Arrangement) -> Fraction:
 def f_vector(arr: Arrangement) -> FVector:
     """Exact intersection counts: by the Helly property, f_k is the number of
     (k+1)-cliques of the intersection graph, and 0 from k = omega on.  Raises
-    ValueError above the graph's 64-vertex cap.  Counted once per
-    arrangement, like the graph."""
-    return arr._f_vector
+    ValueError above the graph's 64-vertex cap.  The counts are the graph's,
+    counted once per graph and kept there."""
+    counts = clique_counts(intersection_graph(arr))
+    return FVector(tuple(counts) + (0,) * (arr.n - len(counts)))

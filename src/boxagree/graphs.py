@@ -3,8 +3,11 @@
 Vertices are labelled 1..n with n capped at 64 so each adjacency row fits in
 one machine word; all the heavy queries (cliques, canonical forms with
 automorphism generators, interval recognition) run on those bitsets.  One
-maximum cardinality search both decides chordality and lists the maximal
-cliques that a consecutive clique order arranges.  Graphs are immutable
+branch and bound answers both "how large is the largest clique" and "is
+there a clique of t vertices".  One maximum cardinality search both decides
+chordality and lists the maximal cliques that a consecutive clique order
+arranges; that order's search needs only the last clique placed, since a
+vertex it leaves out has no clique left to place.  Graphs are immutable
 values, and every function here answers as a pure function would.  A graph
 keeps its clique number and its clique counts once the clique functions
 have found them, in two memo slots outside equality, hashing and `repr`,
@@ -170,42 +173,29 @@ def degree_profile(g: Graph) -> DegreeProfile:
 # ---------------------------------------------------------------------------
 
 
-def _max_clique_size(adj: tuple[int, ...], cand: int) -> int:
+def _max_clique_size(adj: tuple[int, ...], cand: int, target: int | None = None) -> int:
     """The clique number of the subgraph induced on the bitset `cand`, by
-    branch and bound: a branch stops once its vertices cannot beat the best."""
-    best = 0
+    branch and bound: a branch stops once its vertices cannot beat the best.
+    Given a `target`, the best starts at target - 1 and the search returns at
+    the first clique of `target` vertices, so the result reaches `target`
+    exactly when the subgraph holds such a clique."""
+    best = 0 if target is None else target - 1
 
-    def expand(cand: int, size: int) -> None:
+    def expand(cand: int, size: int) -> bool:
         nonlocal best
         if size > best:
             best = size
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
+            if size == target:
+                return True
+        while size + cand.bit_count() > best:  # size <= best here, so cand is not empty
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            expand(cand & adj[v], size + 1)
-
-    expand(cand, 0)
-    return best
-
-
-def _has_clique(adj: tuple[int, ...], cand: int, target: int) -> bool:
-    """Whether the subgraph induced on the bitset `cand` holds a clique of
-    `target` vertices.  It returns at the first one found, and a branch
-    stops once its vertices cannot reach `target`."""
-
-    def grow(cand: int, size: int) -> bool:
-        if size == target:
-            return True
-        while size + cand.bit_count() >= target:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if grow(cand & adj[v], size + 1):
+            if expand(cand & adj[v], size + 1):
                 return True
         return False
 
-    return grow(cand, 0)
+    expand(cand, 0)
+    return best
 
 
 def clique_number(g: Graph) -> int:
@@ -288,18 +278,14 @@ def _is_clique(mask: int, adj: tuple[int, ...]) -> bool:
 def count_cliques_of_size(g: Graph, s: int) -> int:
     """Number of s-element vertex sets inducing complete subgraphs.  Read
     off the graph's clique counts when those are known.  Otherwise a
-    traversal pruned by this one size counts them and the graph keeps
-    nothing: counting every size instead would walk every clique, 3^32 of
-    them in the complete 32-partite graph on pairs."""
+    traversal pruned by this one size counts them, for every s alike, and
+    the graph keeps nothing: counting every size instead would walk every
+    clique, 3^32 of them in the complete 32-partite graph on pairs."""
     if not 1 <= s <= g.n:
         raise ValueError(f"s must be in 1..{g.n}, got {s}")
     if g._clique_counts is not None:
         counts = g._clique_counts
         return counts[s - 1] if s <= len(counts) else 0
-    if s == 1:
-        return g.n
-    if s == 2:
-        return g.edge_count()
     adj = g._adj
     total = 0
 
@@ -367,17 +353,18 @@ def is_agreeable(g: Graph, k: int, m: int) -> bool:
     answered through the complement: every m-subset holds an edge exactly
     when no m vertices are independent, that is when the complement has no
     m-clique.  Only k >= 3 scans the m-subsets, asking each for a k-clique.
-    Each question stops at the first clique that answers it.
+    Each question is `_max_clique_size` with a target, which stops at the
+    first clique that answers it.
     """
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
     if k == 2:
-        return not _has_clique(g.complement()._adj, (1 << g.n) - 1, m)
+        return _max_clique_size(g.complement()._adj, (1 << g.n) - 1, m) < m
     for subset in combinations(range(g.n), m):
         mask = 0
         for v in subset:
             mask |= 1 << v
-        if not _has_clique(g._adj, mask, k):
+        if _max_clique_size(g._adj, mask, k) < k:
             return False
     return True
 
@@ -501,8 +488,11 @@ def _clique_order(n: int, cliques: list[int]) -> list[int] | None:
     vertices, or None when there is none.
 
     Backtracking over clique sequences, trying the cliques in ascending
-    order; at each step any open vertex that still has unplaced cliques
-    forces membership in the next clique, which keeps the branching narrow.
+    order; each vertex of the last placed clique that still has unplaced
+    cliques must be in the next clique, which keeps the branching narrow.
+    The last clique is the whole state: a vertex that the next clique
+    leaves out was not required, so none of its cliques is unplaced, and no
+    later clique can contain it; no set of closed vertices is needed.
     Proving that no order exists can take every order of the cliques, so
     callers pass only interval graphs: the graphs that `is_interval_graph`
     accepts and the axis graphs of a boxicity cover.
@@ -512,12 +502,12 @@ def _clique_order(n: int, cliques: list[int]) -> list[int] | None:
     member = _membership(n, cliques)  # clique-index bitset per vertex
     order: list[int] = []
 
-    def dfs(used: int, opened: int, closed: int) -> bool:
+    def dfs(used: int, last: int) -> bool:
         if used == (1 << mcount) - 1:
             return True
-        # open vertices with pending cliques must all sit in the next clique
+        # vertices of the last clique with pending cliques must all sit in the next
         required = 0
-        m = opened
+        m = last
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
@@ -528,18 +518,15 @@ def _clique_order(n: int, cliques: list[int]) -> list[int] | None:
             if used & bit:
                 continue
             cl = cliques[ci]
-            if cl & closed:
-                continue
             if required & ~cl:
                 continue
-            newly_closed = opened & ~cl
             order.append(ci)
-            if dfs(used | bit, (opened | cl) & ~newly_closed, closed | newly_closed):
+            if dfs(used | bit, cl):
                 return True
             order.pop()
         return False
 
-    if dfs(0, 0, 0):
+    if dfs(0, 0):
         return [cliques[ci] for ci in order]
     return None
 

@@ -26,7 +26,6 @@ from boxagree.geometry import _is_digits
 from boxagree.graphs import (
     _bits,
     _canonical_labelling,
-    _clique_order,
     _max_clique_size,
     _orbit_roots,
     canonical_certificate,
@@ -182,6 +181,25 @@ def random_graph(rng: Random, max_n: int = 10, p: float = 0.5) -> Graph:
         if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def random_chordal_graph(rng: Random, max_n: int = 14) -> Graph:
+    """A chordal graph: each new vertex is joined to a clique of the earlier
+    ones (none at times), so every vertex is simplicial when it is added and
+    the reversed order of addition is a perfect elimination order."""
+    n = rng.randint(1, max_n)
+    adj = [0] * n
+    for v in range(1, n):
+        if rng.random() < 0.15:
+            continue
+        clique = 1 << rng.randrange(v)
+        for w in rng.sample(range(v), v):
+            if adj[w] & clique == clique and rng.random() < 0.6:
+                clique |= 1 << w
+        for w in _bits(clique):
+            adj[w] |= 1 << v
+            adj[v] |= 1 << w
+    return Graph.from_masks(n, tuple(adj))
 
 
 def pairwise_intersection_graph(arr: Arrangement) -> Graph:
@@ -346,11 +364,69 @@ def maximal_cliques_oracle(g: Graph) -> list[int]:
     return sorted(out)
 
 
+def has_clique_oracle(adj: tuple[int, ...], cand: int, target: int) -> bool:
+    """Whether the subgraph induced on the bitset `cand` holds a clique of
+    `target` vertices, by a search of its own: it grows cliques by ascending
+    vertex, returns at the first one of `target` vertices, and stops a
+    branch once its vertices cannot reach `target`."""
+
+    def grow(cand: int, size: int) -> bool:
+        if size == target:
+            return True
+        while size + cand.bit_count() >= target:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if grow(cand & adj[v], size + 1):
+                return True
+        return False
+
+    return grow(cand, 0)
+
+
+def clique_order_oracle(n: int, cliques: list[int]) -> list[int] | None:
+    """A consecutive order of the maximal cliques `cliques`, or None, by a
+    backtracking search that tracks every vertex as open or closed: the
+    vertices of the cliques placed since they were first met are open, and
+    a vertex is closed once a placed clique leaves it out, after which no
+    clique holding it may follow.  An open vertex with unplaced cliques
+    must be in the next clique.  Cliques are tried in ascending order."""
+    cliques = sorted(cliques)
+    mcount = len(cliques)
+    # member[v]: the bitset of the indices of the cliques that hold v
+    member = [sum(1 << i for i, cl in enumerate(cliques) if cl >> v & 1) for v in range(n)]
+    order: list[int] = []
+
+    def dfs(used: int, opened: int, closed: int) -> bool:
+        if used == (1 << mcount) - 1:
+            return True
+        required = 0
+        for v in _bits(opened):
+            if member[v] & ~used:
+                required |= 1 << v
+        for ci in range(mcount):
+            bit = 1 << ci
+            if used & bit:
+                continue
+            cl = cliques[ci]
+            if cl & closed or required & ~cl:
+                continue
+            newly_closed = opened & ~cl
+            order.append(ci)
+            if dfs(used | bit, (opened | cl) & ~newly_closed, closed | newly_closed):
+                return True
+            order.pop()
+        return False
+
+    if dfs(0, 0, 0):
+        return [cliques[ci] for ci in order]
+    return None
+
+
 def interval_order_oracle(g: Graph) -> bool:
     """Interval by the definition (Gilmore-Hoffman): some order of the
-    maximal cliques keeps every vertex's cliques consecutive, found by the
-    library's backtracking search, exponential on a "no"."""
-    return _clique_order(g.n, maximal_cliques_oracle(g)) is not None
+    maximal cliques keeps every vertex's cliques consecutive, found by
+    `clique_order_oracle`, exponential on a "no"."""
+    return clique_order_oracle(g.n, maximal_cliques_oracle(g)) is not None
 
 
 def is_agreeable_oracle(g: Graph, k: int, m: int) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from boxagree import Arrangement, fixtures
+from boxagree import Arrangement, fixtures, verify
 from boxagree.cli import build_parser, main
 from boxagree.formats import serialize_arrangement, serialize_graph
 
@@ -45,6 +45,13 @@ def test_analyze_fig38b_values(capsys):
     assert len(report["edges"]) == 17
     assert report["degree_max"] == 5
     assert report["f_vector"][1] == 17
+
+
+def test_analyze_fixture_text_with_boxicity(capsys):
+    code, out, _ = run(capsys, "analyze", "fig38c", "--boxicity")
+    assert code == 0
+    assert "boxicity: lower 3, upper 4, exact 3 (1046 nodes)" in out.splitlines()
+    assert "  - search exhausted: no 2-box realization" in out.splitlines()
 
 
 def test_analyze_arrangement_file(tmp_path, capsys):
@@ -148,6 +155,16 @@ def test_search_eta_single_r(capsys):
     assert "eta(5) <= 18" in out
 
 
+def test_search_eta_single_confirmed_r(capsys):
+    code, out, _ = run(capsys, "search-eta", "--r", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["eta(3) = 8",
+                         "  upper bound rule: n=9 forces a 5-regular graph, but 9*5 is odd"]
+    assert lines[2].startswith("  witness: Graph(n=8, edges=[(1, 3), ")
+    assert len(lines) == 3
+
+
 def test_search_eta_beyond_the_table_is_a_usage_error(capsys):
     code, out, err = run(capsys, "search-eta", "--r", "6")
     assert code == 2
@@ -231,6 +248,13 @@ def test_fixtures_dump_unknown(capsys):
     assert code == 2
 
 
+def test_fixtures_dump_without_a_name_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "fixtures", "dump")
+    assert code == 2
+    assert out == ""
+    assert "fixtures dump needs a name" in err
+
+
 def test_verify_paper_has_no_budget_option(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["verify-paper", "--budget", "5"])
@@ -245,6 +269,16 @@ def test_verify_paper_passes(capsys):
     assert "FAIL" not in out
     eta_line = "eta table: eta(1) = 2  eta(2) = 5  eta(3) = 8  eta(4) = 13  eta(5) <= 18"
     assert eta_line in out.splitlines()
+
+
+def test_verify_paper_exits_1_on_a_failed_check(monkeypatch, capsys):
+    failed = verify.CheckResult("planted", False, "planted failure")
+    monkeypatch.setattr(verify, "run_paper_checks", lambda: [failed])
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 1
+    assert "FAIL planted: planted failure" in out.splitlines()
+    assert "1 of 1 checks failed" in out.splitlines()
+    assert "checks passed" not in out
 
 
 def test_reused_parser_carries_nothing_between_calls(capsys):

@@ -2,13 +2,16 @@
 imports nothing outside the standard library; networkx, sympy and
 hypothesis serve the tests alone.  An arrangement's integer grid is the
 one thing the library reads of its boxes.  And a graph's clique memo is
-read and written in `graphs.py` alone."""
+read and written in `graphs.py` alone, and an arrangement keeps no copy
+of it."""
 
 import ast
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import boxagree
+from boxagree import Arrangement
 
 SOURCES = sorted(Path(boxagree.__file__).parent.glob("*.py"))
 
@@ -60,3 +63,11 @@ def test_only_graphs_touches_the_clique_memo():
             if name in memo:
                 seen.setdefault(path.name, []).append(f"{node.lineno}: {name}")
     assert set(seen) == {"graphs.py"}, seen
+
+
+def test_an_arrangement_caches_only_its_view_and_its_graph():
+    # the f-vector is read off the graph's kept counts; a cached f-vector
+    # beside them would be a second copy
+    cached = {name for name, attr in vars(Arrangement).items()
+              if isinstance(attr, cached_property)}
+    assert cached == {"boxes", "_graph"}

@@ -66,6 +66,14 @@ def test_validator_rejects_bogus_certificates():
     assert validate_exposure(line, ExposureCertificate(2, 1, "lower", Fraction(2)))
 
 
+def test_validator_reads_an_int_coordinate():
+    # the coordinate field is typed Fraction, but an int reads as p/1 alike
+    fig38a = fixtures.load("fig38a")
+    for c, ok in ((15, True), (16, False)):
+        assert validate_exposure(fig38a, ExposureCertificate(2, 1, "lower", c)) is ok
+        assert validate_exposure(fig38a, ExposureCertificate(2, 1, "lower", Fraction(c))) is ok
+
+
 def test_validator_rejects_a_box_index_out_of_range():
     z5 = fixtures.load("z5")
     for index in (0, 6, -1):

@@ -19,7 +19,7 @@ from boxagree import (
     is_agreeable,
     split,
 )
-from boxagree import fixtures
+from boxagree import fixtures, graphs
 from boxagree.formats import FormatError, parse_arrangement, serialize_arrangement
 from boxagree.geometry import _pair
 
@@ -340,9 +340,22 @@ def test_cached_graph_stays_out_of_equality_hash_and_repr():
     assert built == fresh and hash(built) == hash(fresh)
 
 
-def test_f_vector_is_counted_once_per_arrangement():
-    arr = fixtures.load("fig38a")
-    assert f_vector(arr) is f_vector(arr)
+def test_f_vector_is_counted_once_per_arrangement(monkeypatch):
+    # every node of a clique traversal asks `_is_clique`, so a second call
+    # that asks nothing reads the counts the first one kept on the graph
+    calls = []
+    real = graphs._is_clique
+
+    def counted(mask, adj):
+        calls.append(mask)
+        return real(mask, adj)
+
+    monkeypatch.setattr(graphs, "_is_clique", counted)
+    arr = parse_arrangement(serialize_arrangement(fixtures.load("fig38a")))  # a fresh one
+    first = f_vector(arr)
+    assert calls
+    calls.clear()
+    assert f_vector(arr) == first and calls == []
 
 
 def test_cached_f_vector_stays_out_of_equality_hash_and_repr():

@@ -24,7 +24,7 @@ from boxagree import graphs
 from boxagree.graphs import (
     _canonical_labelling,
     _cliques_within,
-    _has_clique,
+    _max_clique_size,
     _membership,
     _root_partition,
 )
@@ -32,9 +32,11 @@ from boxagree.graphs import (
 from helpers import (
     automorphism_orbits_oracle,
     clique_counts_oracle,
+    clique_order_oracle,
     cliques_oracle,
     complete,
     cycle,
+    has_clique_oracle,
     interval_order_oracle,
     is_agreeable_by_clique_number,
     is_agreeable_oracle,
@@ -42,6 +44,7 @@ from helpers import (
     max_clique_oracle,
     maximal_cliques_oracle,
     path,
+    random_chordal_graph,
     random_graph,
     refine_oracle,
     subset_clique_oracle,
@@ -384,7 +387,8 @@ def test_has_clique_matches_clique_number():
         omega = max_clique_oracle(g)
         full = (1 << g.n) - 1
         for target in range(g.n + 2):
-            assert _has_clique(g._adj, full, target) == (target <= omega), (g, target)
+            assert (_max_clique_size(g._adj, full, target) >= target) == (target <= omega), \
+                (g, target)
 
 
 # -- universal stripping --------------------------------------------------------
@@ -441,14 +445,20 @@ def test_interval_examples():
     assert not is_interval_graph(fixtures.expected_graph("fig38a"))
 
 
+def _seeded_interval_test_graphs() -> list[Graph]:
+    rng = Random(41)
+    return [random_graph(rng, max_n=10, p=rng.uniform(0.2, 0.9)) for _ in range(1200)]
+
+
 def test_interval_order_consecutive():
-    g = path(4)
-    order = graphs._clique_order(g.n, graphs._chordal_cliques(g.n, g._adj))
-    assert order is not None
-    # every vertex's cliques occupy consecutive positions
-    for v in range(g.n):
-        positions = [i for i, cl in enumerate(order) if cl >> v & 1]
-        assert positions == list(range(positions[0], positions[-1] + 1))
+    for g in [path(4)] + [g for g in _seeded_interval_test_graphs() if is_interval_graph(g)]:
+        cliques = graphs._chordal_cliques(g.n, g._adj)
+        order = graphs._clique_order(g.n, cliques)
+        assert order is not None and sorted(order) == sorted(cliques), g
+        # every vertex's cliques occupy consecutive positions
+        for v in range(g.n):
+            positions = [i for i, cl in enumerate(order) if cl >> v & 1]
+            assert positions == list(range(positions[0], positions[-1] + 1)), (g, v)
 
 
 def test_interval_implies_chordal_random():
@@ -471,16 +481,62 @@ def test_interval_verdict_matches_order_search_on_every_small_graph():
 
 
 def test_interval_verdict_matches_order_search_on_seeded_graphs():
-    rng = Random(41)
     verdicts = []
-    for _ in range(1200):
-        g = random_graph(rng, max_n=10, p=rng.uniform(0.2, 0.9))
+    for g in _seeded_interval_test_graphs():
         verdicts.append(is_interval_graph(g))
         assert verdicts[-1] == interval_order_oracle(g), g
         assert (graphs._chordal_cliques(g.n, g._adj) is None) == (not is_chordal_oracle(g)), g
         if verdicts[-1]:
             assert graphs._clique_order(g.n, graphs._chordal_cliques(g.n, g._adj)) is not None
     assert 200 < sum(verdicts) < 1000
+
+
+class _CountedRows(tuple):
+    """Adjacency rows that count how often a search reads them."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+
+def _assert_kernels_match_their_oracles(g: Graph, cliques: list[int] | None):
+    """The targeted branch and bound against `has_clique_oracle` at every
+    target, and, given cliques, the order search against the one that also
+    tracks closed vertices: equal verdicts with equal adjacency reads, equal
+    orders, equal Nones."""
+    full = (1 << g.n) - 1
+    for target in range(g.n + 2):
+        new, old = _CountedRows(g._adj), _CountedRows(g._adj)
+        assert (_max_clique_size(new, full, target) >= target) \
+            == has_clique_oracle(old, full, target), (g, target)
+        assert new.reads == old.reads, (g, target)
+    if cliques is not None:
+        order = graphs._clique_order(g.n, cliques)
+        assert order == clique_order_oracle(g.n, cliques), g
+        return order is not None
+
+
+def test_clique_kernels_match_their_oracles_on_every_small_graph():
+    # any clique list, not only a chordal graph's: the order search's proof
+    # that a left-out vertex has no clique to come does not use chordality
+    found = [_assert_kernels_match_their_oracles(g, maximal_cliques_oracle(g))
+             for n in range(1, 7) for g in _all_labeled_graphs(n)]
+    assert len(found) == 33867 and 0 < found.count(False) < found.count(True)
+
+
+def test_clique_kernels_match_their_oracles_on_seeded_graphs():
+    rng = Random(29)
+    found = []
+    for i in range(1500):
+        if i % 2:
+            g = random_chordal_graph(rng)
+        else:
+            g = random_graph(rng, max_n=14, p=rng.uniform(0.1, 0.95))
+        found.append(_assert_kernels_match_their_oracles(g, graphs._chordal_cliques(g.n, g._adj)))
+    # chordal graphs with and without a consecutive order, and others
+    assert found.count(True) > 800 and found.count(False) > 50 and found.count(None) > 200
 
 
 def _assert_chordal_cliques(g: Graph) -> bool:

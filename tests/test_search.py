@@ -424,6 +424,23 @@ def test_main_theorem_holds_rejects_a_value_below_the_bound():
         main_theorem_holds(planar, 0)
 
 
+@pytest.mark.parametrize("name, minimizer, value, holds", [
+    # a universal vertex: omega 3 >= n - delta - 1 = 1, and 3/5 >= 1/4
+    ("universal vertex", fixtures.load("w4"), Fraction(3, 5), False),
+    # Adiga bound 6 / (2 * (6 - 4 - 1)) = 3 > 2, with no universal vertex
+    # and omega 3 >= n - delta - 1 = 1
+    ("Adiga bound", fixtures.k_partite(3), Fraction(1, 2), False),
+    # omega 1 < n - delta - 1 = 2, with Adiga bound 1 and no universal vertex
+    ("clique number", Graph(3), Fraction(1, 3), False),
+    # one vertex: no rule applies
+    ("skipped", Graph(1), Fraction(1), True),
+])
+def test_main_theorem_holds_rejects_each_minimizer_rule_alone(name, minimizer, value, holds):
+    assert value >= Fraction(1, 4)  # the value rule passes at d = 2
+    result = ProportionResult(value, (minimizer,), ())
+    assert main_theorem_holds(result, 2) is holds, name
+
+
 def test_min_proportion_matches_theorem_bound():
     for r, d in ((1, 1), (2, 1), (2, 2), (3, 1)):
         assert min_agreement_proportion(r, d).value >= Fraction(1, 2 * d)
