@@ -22,10 +22,11 @@ stage and the orderly walk's filter (`_at_most`): one node tests g for
 being interval, since an interval graph is its own single axis graph and
 at d = 1 the one axis must separate every non-edge; above d = 1 one DP and
 one cover follow.  It returns the chosen axis graphs, and a witness gets
-one axis per axis graph, so at most d dimensions, placed by a consecutive
-order of that graph's maximal cliques.  "No" comes only from the interval
-test at d = 1 or a finished DP and cover; a budget too small for them
-yields "inconclusive".  Every "yes" carries a realizing arrangement whose
+one axis per axis graph, so at most d dimensions: LexBFS sweeps find an
+umbrella-free order of that graph's vertices, and each vertex spans its
+position to its last neighbour's.  "No" comes only from the interval test
+at d = 1 or a finished DP and cover; a budget too small for them yields
+"inconclusive".  Every "yes" carries a realizing arrangement whose
 intersection graph is re-derived and compared bit-exactly.
 """
 
@@ -36,14 +37,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .geometry import Arrangement, intersection_graph
-from .graphs import (
-    Graph,
-    _bits,
-    _chordal_cliques,
-    _clique_order,
-    is_interval_graph,
-    strip_universal,
-)
+from .graphs import Graph, _interval_model, is_interval_graph, strip_universal
 
 DEFAULT_BUDGET = 10**8
 
@@ -122,23 +116,10 @@ def _axis_graphs(g: Graph, non_edges: list[tuple[int, int]],
 
 def _build_witness(g: Graph, axis_graphs: list[tuple[int, ...]]) -> Arrangement:
     """The arrangement with one scale-1 grid axis per axis graph: each
-    vertex spans its first to its last position in a consecutive order of
-    that graph's maximal cliques.  Every axis graph is interval, so each
-    goes straight from its cliques to the order search."""
-    axes = []
-    for adj in axis_graphs:
-        cliques = _chordal_cliques(g.n, adj)
-        order = None if cliques is None else _clique_order(g.n, cliques)
-        if order is None:  # pragma: no cover - construction invariant
-            raise RuntimeError("a chosen axis graph is not an interval graph")
-        lows, highs = [0] * g.n, [0] * g.n
-        for pos, clique in enumerate(order, start=1):
-            for v in _bits(clique):
-                if not lows[v]:
-                    lows[v] = pos
-                highs[v] = pos
-        axes.append((1, lows, highs))
-    witness = Arrangement._of_grid(len(axes), axes)
+    vertex spans its position to its last neighbour's in an umbrella-free
+    order of that graph's vertices, so the coordinates are positions 1..n."""
+    witness = Arrangement._of_grid(len(axis_graphs),
+                                   [(1, *_interval_model(adj)) for adj in axis_graphs])
     if intersection_graph(witness) != g:  # pragma: no cover - construction invariant
         raise RuntimeError("witness arrangement does not realize the graph")
     return witness

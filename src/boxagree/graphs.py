@@ -4,10 +4,10 @@ Vertices are labelled 1..n with n capped at 64 so each adjacency row fits in
 one machine word; all the heavy queries (cliques, canonical forms with
 automorphism generators, interval recognition) run on those bitsets.  One
 branch and bound answers both "how large is the largest clique" and "is
-there a clique of t vertices".  One maximum cardinality search both decides
-chordality and lists the maximal cliques that a consecutive clique order
-arranges; that order's search needs only the last clique placed, since a
-vertex it leaves out has no clique left to place.  Graphs are immutable
+there a clique of t vertices".  One LexBFS kernel serves interval graphs:
+a sweep decides chordality, and repeated sweeps, each breaking its ties
+toward the vertex latest in the one before, reach an umbrella-free vertex
+order, which places each vertex's interval directly.  Graphs are immutable
 values, and every function here answers as a pure function would.  A graph
 keeps its clique number and its clique counts once the clique functions
 have found them, in two memo slots outside equality, hashing and `repr`,
@@ -395,56 +395,93 @@ def is_interval_graph(g: Graph) -> bool:
     """True iff some vertex-interval family on a line realizes g exactly.
 
     Lekkerkerker-Boland (1962): g is an interval graph exactly when it is
-    chordal and has no asteroidal triple, three pairwise non-adjacent
-    vertices each two of which a path joins that avoids the closed
-    neighbourhood of the third.  Both tests are polynomial.
+    chordal, which one LexBFS sweep decides (Rose-Tarjan-Lueker 1976), and
+    has no asteroidal triple, three pairwise non-adjacent vertices each two
+    of which a path joins that avoids the closed neighbourhood of the third.
+    Both tests are polynomial.
     """
-    return (_chordal_cliques(g.n, g._adj) is not None
-            and not _has_asteroidal_triple(g.n, g._adj))
+    return _lexbfs(g._adj) is not None and not _has_asteroidal_triple(g.n, g._adj)
 
 
-def _chordal_cliques(n: int, adj: tuple[int, ...]) -> list[int] | None:
-    """The maximal cliques of a chordal graph as bitsets, in visit order, or
-    None when the graph is not chordal.
+def _lexbfs(rows: tuple[int, ...]) -> list[int] | None:
+    """A lexicographic breadth-first search order of the graph with
+    adjacency `rows`, or None when the graph is not chordal.
 
-    Maximum cardinality search visits next a vertex with the most visited
-    neighbours, the lowest such one; `buckets[c]` holds the unvisited
-    vertices with c visited neighbours.  The graph is chordal exactly when
-    every vertex's visited neighbours form a clique (Tarjan-Yannakakis
-    1984: the reversed visit order is then a perfect elimination order).
-    A vertex and its visited neighbours form a maximal clique exactly when
-    the next vertex has no more visited neighbours than it, or it is the
-    last (Blair-Peyton 1993)."""
-    buckets = [0] * (n + 1)
-    buckets[0] = (1 << n) - 1
-    top = 0
+    The unvisited vertices sit in an ordered list of bitset cells; the next
+    vertex is the highest index of the first cell, and its row splits each
+    cell into the neighbours followed by the rest.  The graph is chordal
+    exactly when every vertex's earlier neighbours form a clique, since the
+    reversed order is then a perfect elimination order (Rose-Tarjan-Lueker
+    1976); the search stops at the first vertex where they do not."""
+    cells = [(1 << len(rows)) - 1]
+    order: list[int] = []
     visited = 0
-    cliques: list[int] = []
-    clique = 0  # the vertex visited last and its visited neighbours
-    for _ in range(n):
-        while not buckets[top]:
-            top -= 1
-        low = buckets[top] & -buckets[top]
-        buckets[top] ^= low
-        row = adj[low.bit_length() - 1]
-        earlier = row & visited
-        if not _is_clique(earlier, adj):
+    while cells:
+        v = cells[0].bit_length() - 1
+        row = rows[v]
+        if not _is_clique(row & visited, rows):
             return None
-        if top < clique.bit_count():
-            cliques.append(clique)
-        clique = earlier | low
-        visited |= low
-        later = row & ~visited
-        c = top
-        while later:  # each unvisited neighbour moves up one bucket
-            moved = buckets[c] & later
-            buckets[c] ^= moved
-            buckets[c + 1] |= moved
-            later ^= moved
-            c -= 1
-        top += 1
-    cliques.append(clique)
-    return cliques
+        order.append(v)
+        visited |= 1 << v
+        cells[0] ^= 1 << v
+        split = []
+        for cell in cells:
+            inside = cell & row
+            if inside:
+                split.append(inside)
+            if cell ^ inside:
+                split.append(cell ^ inside)
+        cells = split
+    return order
+
+
+def _relabel(adj: tuple[int, ...], order) -> tuple[int, ...]:
+    """The rows of the graph renamed by `order`: row i is the row of vertex
+    order[i], with each vertex's bit moved to its position in `order`."""
+    at = [0] * len(order)  # at[v]: the bit of v's position in the order
+    for i, v in enumerate(order):
+        at[v] = 1 << i
+    rows = []
+    for v in order:
+        m = adj[v]
+        row = 0
+        while m:
+            low = m & -m
+            m ^= low
+            row |= at[low.bit_length() - 1]
+        rows.append(row)
+    return tuple(rows)
+
+
+def _interval_model(adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Per-vertex interval ends (lows, highs) on positions 1..n that realize
+    the interval graph with adjacency `adj` exactly.
+
+    An order is umbrella-free when each vertex's neighbours after it form
+    one run right after it: a < b < c and ac an edge imply ab an edge.  One
+    exists exactly when the graph is interval (Olariu 1991), and then
+    vertex v spans [p(v), the position of its last neighbour].  LBFS+
+    sweeps find one: each is `_lexbfs` on the rows relabelled by the
+    previous order, so that its ties go to the vertex latest in that order.
+    Nothing here proves that the sweeps converge (Corneil-Olariu-Stewart
+    2009 prove a six-sweep variant), so a graph that takes more than n of
+    them raises RuntimeError, as does a graph that is not chordal."""
+    n = len(adj)
+    order = list(range(n))
+    rows = adj
+    for _ in range(n):
+        sweep = _lexbfs(rows)
+        if sweep is None:
+            break
+        order = [order[v] for v in sweep]
+        rows = _relabel(rows, sweep)
+        if all(not (r := row >> i + 1) & (r + 1) for i, row in enumerate(rows)):
+            lows, highs = [0] * n, [0] * n
+            for i, v in enumerate(order):
+                lows[v] = i + 1
+                highs[v] = max(i + 1, rows[i].bit_length())
+            return lows, highs
+    raise RuntimeError("no umbrella-free order: not an interval graph, or no convergence")
 
 
 def _components(adj: tuple[int, ...], within: int):
@@ -481,54 +518,6 @@ def _has_asteroidal_triple(n: int, adj: tuple[int, ...]) -> bool:
                 if comp[z][x] >> y & 1:
                     return True
     return False
-
-
-def _clique_order(n: int, cliques: list[int]) -> list[int] | None:
-    """A consecutive order of the maximal cliques `cliques` of a graph on n
-    vertices, or None when there is none.
-
-    Backtracking over clique sequences, trying the cliques in ascending
-    order; each vertex of the last placed clique that still has unplaced
-    cliques must be in the next clique, which keeps the branching narrow.
-    The last clique is the whole state: a vertex that the next clique
-    leaves out was not required, so none of its cliques is unplaced, and no
-    later clique can contain it; no set of closed vertices is needed.
-    Proving that no order exists can take every order of the cliques, so
-    callers pass only interval graphs: the graphs that `is_interval_graph`
-    accepts and the axis graphs of a boxicity cover.
-    """
-    cliques = sorted(cliques)
-    mcount = len(cliques)
-    member = _membership(n, cliques)  # clique-index bitset per vertex
-    order: list[int] = []
-
-    def dfs(used: int, last: int) -> bool:
-        if used == (1 << mcount) - 1:
-            return True
-        # vertices of the last clique with pending cliques must all sit in the next
-        required = 0
-        m = last
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if member[v] & ~used:
-                required |= 1 << v
-        for ci in range(mcount):
-            bit = 1 << ci
-            if used & bit:
-                continue
-            cl = cliques[ci]
-            if required & ~cl:
-                continue
-            order.append(ci)
-            if dfs(used | bit, cl):
-                return True
-            order.pop()
-        return False
-
-    if dfs(0, 0):
-        return [cliques[ci] for ci in order]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -679,19 +668,7 @@ def _canonical_labelling(
     def leaf(cells: list[int], seq: list[int]) -> int:
         nonlocal best_key, best_lab
         lab = [c.bit_length() - 1 for c in cells]
-        at = [0] * n  # at[v]: the bit of v's position in the order
-        for i, v in enumerate(lab):
-            at[v] = 1 << i
-        rows = []
-        for v in lab:
-            m = adj[v]
-            row = 0
-            while m:
-                low = m & -m
-                m ^= low
-                row |= at[low.bit_length() - 1]
-            rows.append(row)
-        key = tuple(rows)
+        key = _relabel(adj, lab)
         seen = leaves.get(key)
         if seen is None:
             leaves[key] = (lab, seq)

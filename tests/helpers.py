@@ -202,6 +202,31 @@ def random_chordal_graph(rng: Random, max_n: int = 14) -> Graph:
     return Graph.from_masks(n, tuple(adj))
 
 
+def seeded_interval_families(count: int):
+    """The first `count` families of a fixed seeded generator, each a list
+    of n = 5..64 closed integer intervals (a, b) in random order: a in
+    0..L for L one of 10, 30, 100 and 300, and b - a one of 0, 1, 2 or a
+    draw from 0..L // 3.  Arranging the maximal cliques of some of their
+    graphs took a backtracking order search minutes."""
+    rng = Random(3)
+    for _ in range(count):
+        n = rng.randint(5, 64)
+        span = rng.choice([10, 30, 100, 300])
+        family = []
+        for _ in range(n):
+            a = rng.randint(0, span)
+            family.append((a, a + rng.choice([0, 1, 2, rng.randint(0, span // 3)])))
+        rng.shuffle(family)
+        yield family
+
+
+def interval_family_graph(family) -> Graph:
+    """Vertex i + 1 is the closed interval family[i]; two vertices are
+    adjacent when their intervals meet."""
+    return Graph(len(family), [(u + 1, v + 1) for u, v in combinations(range(len(family)), 2)
+                               if family[u][0] <= family[v][1] and family[v][0] <= family[u][1]])
+
+
 def pairwise_intersection_graph(arr: Arrangement) -> Graph:
     """The intersection graph by comparing every pair of boxes: closed boxes
     meet iff on every axis each side starts no later than the other ends."""
@@ -427,6 +452,22 @@ def interval_order_oracle(g: Graph) -> bool:
     maximal cliques keeps every vertex's cliques consecutive, found by
     `clique_order_oracle`, exponential on a "no"."""
     return clique_order_oracle(g.n, maximal_cliques_oracle(g)) is not None
+
+
+def lexbfs_order_oracle(g: Graph, order: list[int]) -> bool:
+    """Whether the 0-based vertex order `order` is a LexBFS order of g, by
+    the four-point condition (Dragan-Falk-Brandstaedt 1997): whenever
+    a < b < c in the order with ac an edge and ab not, some d < a has db
+    an edge and dc not."""
+    if sorted(order) != list(range(g.n)):
+        return False
+    adj = g._adj
+    for i, j, k in combinations(range(g.n), 3):
+        a, b, c = order[i], order[j], order[k]
+        if adj[a] >> c & 1 and not adj[a] >> b & 1 and not any(
+                adj[d] >> b & 1 and not adj[d] >> c & 1 for d in order[:i]):
+            return False
+    return True
 
 
 def is_agreeable_oracle(g: Graph, k: int, m: int) -> bool:

@@ -20,6 +20,7 @@ from boxagree import (
     is_agreeable,
     is_interval_graph,
 )
+from boxagree.graphs import _interval_model
 
 nx = pytest.importorskip("networkx")
 
@@ -66,6 +67,21 @@ def test_interval_verdict_matches_chordal_and_asteroidal_triple_free():
         assert is_interval_graph(to_graph(h)) == expected, h.edges()
         verdicts[expected] += 1
     assert verdicts == {True: 505, False: 747}
+
+
+def test_interval_model_realizes_every_interval_graph():
+    models = 0
+    for h, _ in atlas():
+        if not (nx.is_chordal(h) and nx.is_at_free(h)):
+            continue
+        lows, highs = _interval_model(to_graph(h)._adj)
+        assert sorted(lows) == list(range(1, len(lows) + 1)), h.edges()
+        # each interval starts at its own position, so it names its vertex
+        vertex = {interval: v for v, interval in enumerate(zip(lows, highs))}
+        model = nx.relabel_nodes(nx.interval_graph(vertex), vertex)
+        assert set(map(frozenset, model.edges())) == set(map(frozenset, h.edges())), h.edges()
+        models += 1
+    assert models == 505
 
 
 def test_is_agreeable_with_k_2_matches_the_complements_cliques():

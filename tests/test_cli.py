@@ -13,6 +13,8 @@ from boxagree import Arrangement, fixtures, verify
 from boxagree.cli import build_parser, main
 from boxagree.formats import serialize_arrangement, serialize_graph
 
+from helpers import interval_family_graph, seeded_interval_families
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -202,6 +204,23 @@ def test_boxicity_command_refuses_a_padded_cycle_at_once(tmp_path, capsys):
     assert code == 0
     assert "exact undetermined (1 nodes)" in out
     assert "budget exhausted in the vertex-order DP" in out
+
+
+def test_boxicity_command_places_the_slow_interval_families_at_once(tmp_path, capsys):
+    # trials 1156 and 2209 of the seeded interval families: while a
+    # backtracking search ordered the maximal cliques of a witness's axis
+    # graph, this command printed nothing in 300 s on either
+    families = list(seeded_interval_families(2210))
+    for trial, size in ((1156, (58, 80)), (2209, (45, 86))):
+        g = interval_family_graph(families[trial])
+        assert (g.n, g.edge_count()) == size
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(g))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "boxicity", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "exact 1 (" in out and "interval graph: boxicity 1" in out
 
 
 def test_negative_budgets_are_usage_errors(capsys):

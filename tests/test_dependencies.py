@@ -3,7 +3,9 @@ imports nothing outside the standard library; networkx, sympy and
 hypothesis serve the tests alone.  An arrangement's integer grid is the
 one thing the library reads of its boxes.  And a graph's clique memo is
 read and written in `graphs.py` alone, and an arrangement keeps no copy
-of it."""
+of it.  One LexBFS kernel answers every interval question: the boxicity
+witness reaches into `graphs` only through `_interval_model`, and no
+second interval algorithm comes back."""
 
 import ast
 import sys
@@ -71,3 +73,19 @@ def test_an_arrangement_caches_only_its_view_and_its_graph():
     cached = {name for name, attr in vars(Arrangement).items()
               if isinstance(attr, cached_property)}
     assert cached == {"boxes", "_graph"}
+
+
+def test_one_interval_kernel():
+    # the backtracking clique order hung on interval graphs of 45 and 58
+    # vertices; the maximum cardinality search only fed it
+    private, defined = set(), []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if path.name == "boxicity.py" and isinstance(node, ast.ImportFrom) \
+                    and node.module == "graphs":
+                private |= {alias.name for alias in node.names if alias.name.startswith("_")}
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name in ("_clique_order", "_chordal_cliques"):
+                defined.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert private == {"_interval_model"}
+    assert defined == []

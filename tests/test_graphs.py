@@ -37,16 +37,19 @@ from helpers import (
     complete,
     cycle,
     has_clique_oracle,
+    interval_family_graph,
     interval_order_oracle,
     is_agreeable_by_clique_number,
     is_agreeable_oracle,
     is_chordal_oracle,
+    lexbfs_order_oracle,
     max_clique_oracle,
     maximal_cliques_oracle,
     path,
     random_chordal_graph,
     random_graph,
     refine_oracle,
+    seeded_interval_families,
     subset_clique_oracle,
     triple_induced_edge_property,
 )
@@ -450,15 +453,58 @@ def _seeded_interval_test_graphs() -> list[Graph]:
     return [random_graph(rng, max_n=10, p=rng.uniform(0.2, 0.9)) for _ in range(1200)]
 
 
+def _assert_interval_model(g: Graph) -> None:
+    """`_interval_model` places the vertices at positions 1..n, each with an
+    interval that starts there, and the intervals realize g exactly, so each
+    vertex's neighbours after it hold the consecutive positions up to its
+    interval's end."""
+    lows, highs = graphs._interval_model(g._adj)
+    assert sorted(lows) == list(range(1, g.n + 1)), g
+    assert all(lo <= hi for lo, hi in zip(lows, highs)), g
+    assert interval_family_graph(list(zip(lows, highs))) == g, g
+
+
 def test_interval_order_consecutive():
     for g in [path(4)] + [g for g in _seeded_interval_test_graphs() if is_interval_graph(g)]:
-        cliques = graphs._chordal_cliques(g.n, g._adj)
-        order = graphs._clique_order(g.n, cliques)
-        assert order is not None and sorted(order) == sorted(cliques), g
-        # every vertex's cliques occupy consecutive positions
-        for v in range(g.n):
-            positions = [i for i, cl in enumerate(order) if cl >> v & 1]
-            assert positions == list(range(positions[0], positions[-1] + 1)), (g, v)
+        _assert_interval_model(g)
+
+
+def test_interval_model_refuses_graphs_that_are_not_interval():
+    # the 4-cycle stops the first sweep; no sweep orders the 3-leg spider
+    # (chordal, its leg ends an asteroidal triple) umbrella-free, so the
+    # n-sweep cap raises
+    spider = Graph(7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])
+    for g in (cycle(4), spider):
+        with pytest.raises(RuntimeError):
+            graphs._interval_model(g._adj)
+
+
+def test_interval_models_of_the_seeded_interval_families(monkeypatch):
+    # the first 1,000 families of the generator; a backtracking order of
+    # the maximal cliques took minutes on some later ones (trials 1156 and
+    # 2209 in test_cli.py).  The loop takes about 1.3 s on a shared 2-core
+    # host; the bound leaves room for a slower one.  No model needs more
+    # than 5 LBFS+ sweeps here, so a change that slows their convergence
+    # fails before it nears the n-sweep cap
+    sweeps = 0
+    lexbfs = graphs._lexbfs
+
+    def counted(rows):
+        nonlocal sweeps
+        sweeps += 1
+        return lexbfs(rows)
+
+    monkeypatch.setattr(graphs, "_lexbfs", counted)
+    most = 0
+    start = time.perf_counter()
+    for family in seeded_interval_families(1000):
+        g = interval_family_graph(family)
+        assert is_interval_graph(g), family
+        before = sweeps
+        _assert_interval_model(g)
+        most = max(most, sweeps - before)
+    assert time.perf_counter() - start < 15.0
+    assert most <= 5
 
 
 def test_interval_implies_chordal_random():
@@ -474,20 +520,14 @@ def test_claw_is_interval_but_not_proper():
     assert is_interval_graph(claw)
 
 
-def test_interval_verdict_matches_order_search_on_every_small_graph():
-    for n in range(1, 7):
-        for g in _all_labeled_graphs(n):
-            assert is_interval_graph(g) == interval_order_oracle(g), g
-
-
 def test_interval_verdict_matches_order_search_on_seeded_graphs():
     verdicts = []
     for g in _seeded_interval_test_graphs():
         verdicts.append(is_interval_graph(g))
         assert verdicts[-1] == interval_order_oracle(g), g
-        assert (graphs._chordal_cliques(g.n, g._adj) is None) == (not is_chordal_oracle(g)), g
+        assert (graphs._lexbfs(g._adj) is None) == (not is_chordal_oracle(g)), g
         if verdicts[-1]:
-            assert graphs._clique_order(g.n, graphs._chordal_cliques(g.n, g._adj)) is not None
+            _assert_interval_model(g)
     assert 200 < sum(verdicts) < 1000
 
 
@@ -503,9 +543,10 @@ class _CountedRows(tuple):
 
 def _assert_kernels_match_their_oracles(g: Graph, cliques: list[int] | None):
     """The targeted branch and bound against `has_clique_oracle` at every
-    target, and, given cliques, the order search against the one that also
-    tracks closed vertices: equal verdicts with equal adjacency reads, equal
-    orders, equal Nones."""
+    target, with equal adjacency reads; and, given g's maximal cliques, the
+    interval verdict against the clique order oracle, with an interval
+    model of g exactly when that finds an order.  Returns the oracle's
+    verdict, or None without cliques."""
     full = (1 << g.n) - 1
     for target in range(g.n + 2):
         new, old = _CountedRows(g._adj), _CountedRows(g._adj)
@@ -513,17 +554,48 @@ def _assert_kernels_match_their_oracles(g: Graph, cliques: list[int] | None):
             == has_clique_oracle(old, full, target), (g, target)
         assert new.reads == old.reads, (g, target)
     if cliques is not None:
-        order = graphs._clique_order(g.n, cliques)
-        assert order == clique_order_oracle(g.n, cliques), g
-        return order is not None
+        interval = clique_order_oracle(g.n, cliques) is not None
+        assert is_interval_graph(g) == interval, g
+        if interval:
+            _assert_interval_model(g)
+        else:
+            with pytest.raises(RuntimeError):
+                graphs._interval_model(g._adj)
+        return interval
+
+
+def _assert_lexbfs(g: Graph) -> bool:
+    """`_lexbfs` returns None exactly on the graphs that are not chordal,
+    and a LexBFS order on the others.  Returns whether g is chordal."""
+    order = graphs._lexbfs(g._adj)
+    chordal = is_chordal_oracle(g)
+    assert (order is not None) == chordal, g
+    if chordal:
+        assert lexbfs_order_oracle(g, order), (g, order)
+    return chordal
+
+
+def test_interval_verdict_matches_order_search_on_every_small_graph():
+    verdicts = []
+    for n in range(1, 7):
+        for g in _all_labeled_graphs(n):
+            verdicts.append(is_interval_graph(g))
+            assert verdicts[-1] == interval_order_oracle(g), g
+    assert len(verdicts) == 33867 and sum(verdicts) == 18808
 
 
 def test_clique_kernels_match_their_oracles_on_every_small_graph():
-    # any clique list, not only a chordal graph's: the order search's proof
-    # that a left-out vertex has no clique to come does not use chordality
+    # the maximal cliques of any graph, not only a chordal one's: the
+    # interval verdict must refuse every graph whose cliques have no order
     found = [_assert_kernels_match_their_oracles(g, maximal_cliques_oracle(g))
              for n in range(1, 7) for g in _all_labeled_graphs(n)]
-    assert len(found) == 33867 and 0 < found.count(False) < found.count(True)
+    assert len(found) == 33867 and found.count(True) == 18808
+
+
+def test_chordal_cliques_match_oracles_on_every_small_graph():
+    # the chordality test that the interval model's sweeps start from
+    chordal = sum(_assert_lexbfs(g) for n in range(1, 7) for g in _all_labeled_graphs(n))
+    assert chordal == 19048
 
 
 def test_clique_kernels_match_their_oracles_on_seeded_graphs():
@@ -534,29 +606,15 @@ def test_clique_kernels_match_their_oracles_on_seeded_graphs():
             g = random_chordal_graph(rng)
         else:
             g = random_graph(rng, max_n=14, p=rng.uniform(0.1, 0.95))
-        found.append(_assert_kernels_match_their_oracles(g, graphs._chordal_cliques(g.n, g._adj)))
-    # chordal graphs with and without a consecutive order, and others
+        cliques = maximal_cliques_oracle(g) if is_chordal_oracle(g) else None
+        found.append(_assert_kernels_match_their_oracles(g, cliques))
+    # chordal graphs with and without an interval model, and others
     assert found.count(True) > 800 and found.count(False) > 50 and found.count(None) > 200
 
 
-def _assert_chordal_cliques(g: Graph) -> bool:
-    cliques = graphs._chordal_cliques(g.n, g._adj)
-    chordal = is_chordal_oracle(g)
-    assert (cliques is not None) == chordal, g
-    if chordal:
-        assert sorted(cliques) == maximal_cliques_oracle(g), g
-    return chordal
-
-
-def test_chordal_cliques_match_oracles_on_every_small_graph():
-    for n in range(1, 7):
-        for g in _all_labeled_graphs(n):
-            _assert_chordal_cliques(g)
-
-
-def test_chordal_cliques_match_oracles_on_seeded_graphs():
+def test_lexbfs_matches_oracles_on_seeded_graphs():
     rng = Random(43)
-    chordal = sum(_assert_chordal_cliques(random_graph(rng, max_n=13, p=rng.uniform(0.1, 0.95)))
+    chordal = sum(_assert_lexbfs(random_graph(rng, max_n=13, p=rng.uniform(0.1, 0.95)))
                   for _ in range(2000))
     assert 500 < chordal < 1800
 
