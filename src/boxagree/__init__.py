@@ -44,7 +44,6 @@ from .geometry import (
 from .graphs import (
     DegreeProfile,
     Graph,
-    are_isomorphic,
     canonical_form,
     clique_counts,
     clique_number,

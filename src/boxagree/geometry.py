@@ -235,19 +235,10 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class FVector:
-    """Entry k counts the non-empty (k+1)-fold intersections, k = 0..n-1."""
+    """Entry k counts the non-empty (k+1)-fold intersections, k = 0..n-1,
+    as `f_vector` reads them off the graph's clique counts."""
 
     entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        seen_zero = False
-        for e in self.entries:
-            if e < 0:
-                raise ValueError("f-vector entries must be non-negative")
-            if seen_zero and e > 0:
-                raise ValueError("f-vector support must be an initial segment")
-            seen_zero = seen_zero or e == 0
 
     def f(self, k: int) -> int:
         """f_k, with the natural 0 beyond the stored range."""

@@ -207,27 +207,14 @@ def clique_number(g: Graph) -> int:
     return g._clique_number
 
 
-def _membership(n: int, sets) -> list[int]:
-    """Entry v is the bitset of the indices of the bitsets in `sets` that
-    hold vertex v, so that a vertex set meets all of them exactly when the
-    OR of its vertices' entries is (1 << len(sets)) - 1."""
-    member = [0] * n
-    for i, s in enumerate(sets):
-        while s:
-            low = s & -s
-            s ^= low
-            member[low.bit_length() - 1] |= 1 << i
-    return member
-
-
 def _cliques_within(adj: tuple[int, ...], cand: int, floor: int, ceiling: int,
                     member=(), need: int = 0) -> list[int]:
     """Every clique of `floor` to `ceiling` vertices inside the bitset `cand`
-    whose vertices' `member` entries (see `_membership`) OR to a superset of
-    `need`, each once, as a bitset; grown by ascending vertex index, in
-    depth-first preorder.  A branch stops as soon as the vertices it can
-    still add are too few, or the OR of their entries misses a bit of what
-    is still unmet."""
+    whose vertices' `member` entries OR to a superset of `need`, each once,
+    as a bitset; grown by ascending vertex index, in depth-first preorder.
+    `member[v]` is the bitset of the sets to hit that hold v.  A branch
+    stops as soon as the vertices it can still add are too few, or the OR
+    of their entries misses a bit of what is still unmet."""
     out: list[int] = []
 
     def grow(clique: int, cand: int, floor: int, ceiling: int, need: int) -> None:
@@ -736,7 +723,3 @@ def canonical_certificate(n: int, adj: tuple[int, ...]) -> bytes:
 def canonical_form(g: Graph) -> bytes:
     """Canonical certificate of g; equal certificates iff isomorphic."""
     return canonical_certificate(g.n, g._adj)
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return canonical_form(g) == canonical_form(h)

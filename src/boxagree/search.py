@@ -34,7 +34,6 @@ from .graphs import (
     _canonical_labelling,
     _cliques_within,
     _is_clique,
-    _membership,
     _orbit_roots,
     _root_partition,
     canonical_form,
@@ -249,8 +248,9 @@ def enumerate_agreeable(n: int, r: int) -> SearchCertificate:
     it has at least k - eta(r-1) vertices, which caps the new vertex's
     degree d = k - |C|; d reaches the largest degree of G, and C contains
     every old vertex of degree at least d, so none ends above the new
-    vertex.  Each level carries its graphs' r-cliques: a child's are its
-    parent's plus the new vertex with each (r-1)-clique of its attachment.
+    vertex.  Each class carries its r-cliques as per-vertex bitsets: a
+    child's are its parent's plus the new vertex with each (r-1)-clique of
+    its attachment.
 
     Before a full labelling, the equitable refinement of the unit partition
     (the labeller's own root step) is tried: each of its cells is a union
@@ -278,18 +278,20 @@ def enumerate_agreeable(n: int, r: int) -> SearchCertificate:
     return SearchCertificate(n, r, examined, survivors, work, tuple(sizes), labellings)
 
 
-def _admissible_cliques(adj, deg, r_cliques, floor: int, ceiling: int) -> list[int]:
+def _admissible_cliques(adj, deg, member, floor: int, ceiling: int) -> list[int]:
     """The cliques C of a k-vertex graph, of `floor` to `ceiling` vertices,
     that meet every r-clique and leave no old vertex above the new one's
     degree d = k - |C|, given a ceiling of at most k - max(deg), so that d
-    is no less than any old degree.  An old vertex ends with degree deg(v) + [v not in
-    C], so every v with deg(v) >= d is forced into C; a size whose forced
+    is no less than any old degree; `member[v]` is the bitset of the
+    r-cliques that hold v.  An old vertex ends with degree deg(v) + [v not
+    in C], so every v with deg(v) >= d is forced into C; a size whose forced
     set is not a clique, or outgrows the size, has no such C, and otherwise
     C is the forced set plus a clique of its common neighbourhood that
     meets the r-cliques the forced set misses."""
     k = len(adj)
-    member = _membership(k, r_cliques)
-    everyone = (1 << len(r_cliques)) - 1
+    everyone = 0
+    for m in member:
+        everyone |= m
     out: list[int] = []
     for size in range(max(floor, 0), ceiling + 1):
         forced = 0
@@ -311,14 +313,16 @@ def _admissible_cliques(adj, deg, r_cliques, floor: int, ceiling: int) -> list[i
 def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
     """Yield the levels k = 1..n of the canonical augmentation in
     `enumerate_agreeable`, each a list of (adjacency rows, automorphism
-    generators or None until labelled, r-cliques), one per isomorphism
-    class.  `work` counts the attachments "examined", those pruned by each
-    rule, and the full "labellings", creating each key it counts.  Given
-    `dim`, a child that passes the canonicity tests is kept only if its
-    boxicity is at most `dim` (exact, as its canonical parent then is too),
-    else it counts under "boxicity".  `boxicity._at_most` answers that
-    yes or no without building a witness; on <= 13 vertices its DP charges
-    at most 13 * 2^12 nodes, far within the default budget.
+    generators or None until labelled, r-clique membership), one per
+    isomorphism class: entry v of the membership is the bitset of the
+    class's r-cliques that hold v, and a child numbers its new r-cliques
+    after its parent's.  `work` counts the attachments "examined", those
+    pruned by each rule, and the full "labellings", creating each key it
+    counts.  Given `dim`, a child that passes the canonicity tests is kept
+    only if its boxicity is at most `dim` (exact, as its canonical parent
+    then is too), else it counts under "boxicity".  `boxicity._at_most`
+    answers that yes or no without building a witness; on <= 13 vertices
+    its DP charges at most 13 * 2^12 nodes, far within the default budget.
 
     A child's scores follow from its parent's: attaching the new vertex to
     A raises the degree of each vertex of A by one, so a vertex's sum of
@@ -330,13 +334,13 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
         work.setdefault("boxicity", 0)
     degree_cap = default_eta_table().entry(r - 1).upper_bound
     level: list[tuple[tuple[int, ...], list | None, list[int]]] = [
-        ((0,), [], [1] if r == 1 else [])]  # one vertex
+        ((0,), [], [1] if r == 1 else [0])]  # one vertex
     yield level
     for k in range(1, n):
         nxt: list[tuple[tuple[int, ...], list | None, list[int]]] = []
         fullk = (1 << k) - 1
         newbit = 1 << k
-        for adj, parent_aut, r_cliques in level:
+        for adj, parent_aut, member in level:
             deg = [m.bit_count() for m in adj]
             total = sum(deg)
             by_degree = [0] * (k + 1)  # by_degree[j]: the vertices of degree j
@@ -349,10 +353,11 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
                     row ^= low
                     t += deg[low.bit_length() - 1]
                 nsum.append(t)
+            held = max(member).bit_length()  # the parent's r-cliques, each in some entry
             root = None  # the parent's root partition, once an orbit test needs it
             orbit_min: dict[int, int] = {}
             # the new vertex's degree k - |clique| must reach max(deg)
-            cliques = _admissible_cliques(adj, deg, r_cliques, k - degree_cap, k - max(deg))
+            cliques = _admissible_cliques(adj, deg, member, k - degree_cap, k - max(deg))
             work["examined"] += len(cliques)
             for clique in cliques:
                 attach = fullk ^ clique
@@ -422,8 +427,16 @@ def _levels(n: int, r: int, work: dict[str, int], dim: int | None = None):
                 if child_aut is None and parent_aut == []:
                     # Aut(G + k) fixes k, so it restricts into the trivial Aut(G)
                     child_aut = []
-                new_cliques = [c | newbit for c in _cliques_within(adj, attach, r - 1, r - 1)]
-                nxt.append((newadj, child_aut, r_cliques + new_cliques))
+                child = member.copy()
+                bit = 1 << held
+                for c in _cliques_within(adj, attach, r - 1, r - 1):
+                    while c:
+                        low = c & -c
+                        c ^= low
+                        child[low.bit_length() - 1] |= bit
+                    bit <<= 1
+                child.append(bit - (1 << held))  # the new vertex is in every new r-clique
+                nxt.append((newadj, child_aut, child))
         level = nxt
         yield level
 

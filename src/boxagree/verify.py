@@ -157,7 +157,8 @@ def run_paper_checks() -> list[CheckResult]:
     ok_eta = True
     for r, expected in EXPECTED_ETA.items():
         entry = confirm_eta(r)
-        ok_eta = ok_eta and entry.confirmed == expected
+        ok_eta = (ok_eta and entry.confirmed == expected
+                  and entry.confirmed <= bounds.eta_quadratic_bound(r))
         eta_line.append(f"eta({r})={entry.confirmed} (expected {expected})")
     upper5, cert5 = eta_upper(5)
     ok_eta = ok_eta and upper5 == 18 and cert5.rule == "parity"
@@ -190,10 +191,11 @@ def run_paper_checks() -> list[CheckResult]:
            exact.rational == Fraction(5, 6) and exact.coeff == Fraction(-1, 6)
            and exact.radicand == 13
            and abs(bounds.root_map(0.5) - exact.value()) < 1e-12
-           and abs(exact.value() - (5 - math.sqrt(13)) / 6) < 1e-15,
+           and abs(exact.value() - (5 - math.sqrt(13)) / 6) < 1e-15
+           and abs(bounds.quadratic_min_root(10**6, 0.5) / 10**6 - exact.value()) < 1e-4,
            f"(5 - sqrt(13))/6 = {exact.value():.6f}")
     beta231 = bounds.beta_convex(2, 3, 1)
-    _check(results, "beta(2,3,1)", abs(beta231 - (1 - math.sqrt(2 / 3))) < 1e-12,
+    _check(results, "beta(2,3,1)", abs(beta231 - bounds.BETA_2_3_1.value()) < 1e-12,
            f"{beta231:.6f} vs 1 - sqrt(2/3)")
     _check(results, "beta(2,3,2)", bounds.beta_convex(2, 3, 2) == 0.0, "0 exactly")
     _check(results, "main bound dominates",

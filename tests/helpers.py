@@ -344,6 +344,12 @@ def cliques_oracle(g: Graph, hit=()) -> list[int]:
     ]
 
 
+def membership(n: int, sets) -> list[int]:
+    """Entry v is the bitset of the indices of the bitsets in `sets` that
+    hold vertex v: the `member` argument of `graphs._cliques_within`."""
+    return [sum(1 << i for i, s in enumerate(sets) if s >> v & 1) for v in range(n)]
+
+
 def max_clique_oracle(g: Graph) -> int:
     for size in range(g.n, 0, -1):
         if subset_clique_oracle(g, size):

@@ -5,7 +5,9 @@ one thing the library reads of its boxes.  And a graph's clique memo is
 read and written in `graphs.py` alone, and an arrangement keeps no copy
 of it.  One LexBFS kernel answers every interval question: the boxicity
 witness reaches into `graphs` only through `_interval_model`, and no
-second interval algorithm comes back."""
+second interval algorithm comes back.  Every function and constant the
+package exports has a caller in another module of the library, or a
+stated reason to stay."""
 
 import ast
 import sys
@@ -89,3 +91,49 @@ def test_one_interval_kernel():
                 defined.append(f"{path.name}:{node.lineno}: {node.name}")
     assert private == {"_interval_model"}
     assert defined == []
+
+
+# exported functions and constants that no other library module calls, each
+# with the reason it stays in the library
+UNCALLED_EXPORTS = {
+    "verify_split_identity": "the `societies` benchmark workload calls it",
+    "verify_main_theorem": "the acceptance tests pin it as the main theorem's entry point",
+}
+
+
+def _defines(tree: ast.Module, name: str) -> bool:
+    """Whether a module defines `name` at top level as a function or a constant."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return True
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return True
+    return False
+
+
+def _reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """The (library module, name) pairs a module reads: names it imports
+    from a sibling module and uses, and attributes of a sibling module."""
+    imported, used, reads = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            reads.add((node.value.id, node.attr))
+    return reads | {(module, name) for module, name in imported if name in used}
+
+
+def test_every_export_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    exports = [(node.module, alias.name) for node in trees["__init__"].body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(exports) > 40
+    reads = {stem: _reads(tree) for stem, tree in trees.items() if stem != "__init__"}
+    uncalled = sorted(
+        name for module, name in exports
+        if _defines(trees[module], name)
+        and not any((module, name) in read for stem, read in reads.items() if stem != module))
+    assert uncalled == sorted(UNCALLED_EXPORTS)

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from boxagree import (
     Arrangement,
-    FVector,
     agreement_number,
     agreement_proportion,
     clique_number,
@@ -445,13 +444,6 @@ def test_fig38_f_vectors():
 
 def test_single_box_f_vector():
     assert f_vector(Arrangement.of(2, [[(0, 1), (0, 1)]])).entries == (1,)
-
-
-def test_f_vector_monotone_support_enforced():
-    with pytest.raises(ValueError):
-        FVector((3, 0, 1))
-    with pytest.raises(ValueError):
-        FVector((3, -1))
 
 
 def test_f_vector_random_against_brute_force():

@@ -5,7 +5,6 @@ import pytest
 from boxagree import (
     Graph,
     MissingEtaError,
-    are_isomorphic,
     clique_number,
     confirm_eta,
     default_eta_table,
@@ -47,7 +46,7 @@ def test_enumerate_six_two_empty():
 def test_enumerate_five_two_is_exactly_the_five_cycle():
     cert = enumerate_agreeable(5, 2)
     assert len(cert.survivors) == 1
-    assert are_isomorphic(cert.survivors[0], cycle(5))
+    assert canonical_form(cert.survivors[0]) == canonical_form(cycle(5))
 
 
 def test_enumerate_three_one_empty():
@@ -104,10 +103,10 @@ def test_admissible_cliques_match_the_unshortcut_list(n, r):
     degree_cap = default_eta_table().entry(r - 1).upper_bound
     parents = 0
     for k, level in enumerate(search._levels(n - 1, r, {}), start=1):
-        for adj, _, r_cliques in level:
+        for adj, _, member in level:
             deg = [m.bit_count() for m in adj]
             found = list(search._admissible_cliques(
-                adj, deg, r_cliques, k - degree_cap, k - max(deg)))
+                adj, deg, member, k - degree_cap, k - max(deg)))
             assert len(found) == len(set(found)), (k, adj)
             assert set(found) == set(attachments_oracle(adj, r, degree_cap)), (k, adj)
             parents += 1
@@ -116,10 +115,20 @@ def test_admissible_cliques_match_the_unshortcut_list(n, r):
 
 @pytest.mark.parametrize(("n", "r"), [(13, 4), (9, 3), (2, 1)])
 def test_levels_carry_their_r_cliques(n, r):
+    # index i of a class's membership is the r-clique of the vertices whose
+    # entry holds bit i; every index is used, and no clique twice
     work = {"examined": 0, "labellings": 0, "orbit": 0, "not_canonical": 0}
     for k, level in enumerate(search._levels(n, r, work), start=1):
-        for adj, _, r_cliques in level:
-            assert sorted(r_cliques) == sorted(c for c in all_cliques(adj) if c.bit_count() == r)
+        for adj, _, member in level:
+            assert len(member) == k
+            held = 0
+            for m in member:
+                held |= m
+            decoded = [sum(1 << v for v, m in enumerate(member) if m >> i & 1)
+                       for i in range(held.bit_length())]
+            assert all(decoded), (k, adj)
+            assert len(decoded) == len(set(decoded)), (k, adj)
+            assert sorted(decoded) == sorted(c for c in all_cliques(adj) if c.bit_count() == r)
 
 
 def test_levels_carry_true_automorphism_orbits():
@@ -207,8 +216,9 @@ def test_eight_three_contains_both_extremal_graphs():
     survivors = enumerate_agreeable(8, 3).survivors
     g38a = fixtures.expected_graph("fig38a")
     g38b = fixtures.expected_graph("fig38b")
-    assert any(are_isomorphic(g, g38a) for g in survivors)
-    assert any(are_isomorphic(g, g38b) for g in survivors)
+    forms = {canonical_form(g) for g in survivors}
+    assert canonical_form(g38a) in forms
+    assert canonical_form(g38b) in forms
 
 
 # -- eta table -------------------------------------------------------------------
@@ -284,14 +294,15 @@ def test_min_proportion_line():
     assert result.value == Fraction(1, 2)
     # the 5-cycle is excluded by the interval filter; 2K2 qualifies
     two_edges = Graph(4, [(1, 2), (3, 4)])
-    assert any(are_isomorphic(g, two_edges) for g in result.minimizers)
-    assert all(not are_isomorphic(g, cycle(5)) for g in result.minimizers)
+    forms = {canonical_form(g) for g in result.minimizers}
+    assert canonical_form(two_edges) in forms
+    assert canonical_form(cycle(5)) not in forms
 
 
 def test_min_proportion_plane():
     result = min_agreement_proportion(2, 2)
     assert result.value == Fraction(2, 5)
-    assert all(are_isomorphic(g, cycle(5)) for g in result.minimizers)
+    assert {canonical_form(g) for g in result.minimizers} == {canonical_form(cycle(5))}
 
 
 def test_min_proportion_trivial_r():
